@@ -170,12 +170,10 @@ let eval_bench_cases =
 let eval_bench_mode = Core.Executor.Budget 200_000
 
 let eval_bench_run path kernel ~n =
+  (* Baseline rows: the default engine.  The exact, unfiltered search
+     submits no sweep groups, so both paths measure every candidate on
+     its own and their counters are comparable. *)
   let engine = Core.Engine.create ~path Machine.sgi_r10000 in
-  (* Baseline rows: plain per-candidate measurement.  Batching changes
-     the fresh-vs-memo accounting (grouped candidates skip the memo), so
-     leaving it on would make the fast and closures counters
-     incomparable. *)
-  Core.Engine.set_batch_replay engine false;
   let t0 = Unix.gettimeofday () in
   let r = Core.Eco.optimize_with ~mode:eval_bench_mode engine kernel ~n in
   let wall = Unix.gettimeofday () -. t0 in
@@ -389,32 +387,37 @@ let emit_eval_json () =
    with a zero-rate active plan (draws, trials, aggregation — but no
    perturbation, so the searches are bit-identical).  The eval-seconds
    delta is the protocol's overhead on candidate evaluation; the
-   acceptance bar is <5%.  Emits BENCH_faults.json. *)
+   acceptance bar is <5%.  Runs alternate plain, protocol, plain, ...
+   so both sides sample the same host phases, and the medians are
+   compared.  Emits BENCH_faults.json. *)
 
-let faults_bench_run ~protocol kernel ~n =
-  let once () =
-    let faults =
-      match protocol with
-      | None -> Faults.none
-      | Some _ -> Faults.make ~seed:1 ()
-    in
-    let engine =
-      match protocol with
-      | None -> Core.Engine.create Machine.sgi_r10000
-      | Some p -> Core.Engine.create ~faults ~protocol:p Machine.sgi_r10000
-    in
-    let r = Core.Eco.optimize_with ~mode:eval_bench_mode engine kernel ~n in
-    (Core.Engine.stats engine, r.Core.Eco.measurement.Core.Executor.mflops)
+let faults_bench_pairs = 9
+
+let faults_bench_once ~protocol kernel ~n =
+  (* Collect the previous run's garbage first, so no run pays for
+     another's major collections inside its evaluation time. *)
+  Gc.full_major ();
+  let engine =
+    match protocol with
+    | None -> Core.Engine.create Machine.sgi_r10000
+    | Some p ->
+      Core.Engine.create ~faults:(Faults.make ~seed:1 ()) ~protocol:p
+        Machine.sgi_r10000
   in
-  (* Best of three: scheduler jitter on shared machines easily swamps
-     the protocol's real cost, and the minimum wall time is the least
-     contaminated estimate of it. *)
-  let runs = [ once (); once (); once () ] in
-  List.fold_left
-    (fun (bs, bm) (s, m) ->
-      if s.Core.Engine.eval_seconds < bs.Core.Engine.eval_seconds then (s, m)
-      else (bs, bm))
-    (List.hd runs) (List.tl runs)
+  let r = Core.Eco.optimize_with ~mode:eval_bench_mode engine kernel ~n in
+  (Core.Engine.stats engine, r.Core.Eco.measurement.Core.Executor.mflops)
+
+(* Median and interquartile range (linear interpolation). *)
+let median_iqr xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let q p =
+    let x = p *. float_of_int (Array.length a - 1) in
+    let i = int_of_float x in
+    let j = min (i + 1) (Array.length a - 1) in
+    a.(i) +. ((x -. float_of_int i) *. (a.(j) -. a.(i)))
+  in
+  (q 0.5, q 0.75 -. q 0.25)
 
 let emit_faults_json () =
   let protocol = { Core.Engine.default_protocol with trials = 3 } in
@@ -423,44 +426,51 @@ let emit_faults_json () =
       (fun ((kernel : Kernels.Kernel.t), n) ->
         let name = kernel.Kernels.Kernel.name in
         Format.printf "faults bench: %s n=%d...@." name n;
-        let plain, plain_mflops = faults_bench_run ~protocol:None kernel ~n in
-        let guarded, guarded_mflops =
-          faults_bench_run ~protocol:(Some protocol) kernel ~n
+        let pairs =
+          List.init faults_bench_pairs (fun _ ->
+              let plain = faults_bench_once ~protocol:None kernel ~n in
+              let guarded = faults_bench_once ~protocol:(Some protocol) kernel ~n in
+              (plain, guarded))
         in
+        let plains = List.map fst pairs and guardeds = List.map snd pairs in
+        let secs runs =
+          median_iqr (List.map (fun (s, _) -> s.Core.Engine.eval_seconds) runs)
+        in
+        let plain_s, plain_iqr = secs plains
+        and guarded_s, guarded_iqr = secs guardeds in
+        let plain, plain_mflops = List.hd plains
+        and guarded, guarded_mflops = List.hd guardeds in
         (* A zero-rate plan must not change the search at all. *)
-        if plain_mflops <> guarded_mflops then
+        let winners_agree =
+          List.for_all (fun (_, m) -> m = plain_mflops) (plains @ guardeds)
+        in
+        if not winners_agree then
           Format.printf "WARNING: %s winners differ (%.2f vs %.2f MFLOPS)@."
             name plain_mflops guarded_mflops;
         let overhead_pct =
-          if plain.Core.Engine.eval_seconds > 0.0 then
-            (guarded.Core.Engine.eval_seconds
-            -. plain.Core.Engine.eval_seconds)
-            /. plain.Core.Engine.eval_seconds *. 100.0
+          if plain_s > 0.0 then (guarded_s -. plain_s) /. plain_s *. 100.0
           else 0.0
         in
         (* Sub-millisecond absolute deltas are wall-clock jitter, not
            protocol cost — don't let them fail a fast run. *)
-        let overhead_ok =
-          overhead_pct < 5.0
-          || guarded.Core.Engine.eval_seconds -. plain.Core.Engine.eval_seconds
-             < 0.010
-        in
+        let overhead_ok = overhead_pct < 5.0 || guarded_s -. plain_s < 0.010 in
         Format.printf
-          "  plain: %d evals in %.3fs  protocol: %.3fs (trials=%d)  \
-           overhead %.2f%% ok=%b@."
-          plain.Core.Engine.fresh plain.Core.Engine.eval_seconds
-          guarded.Core.Engine.eval_seconds protocol.Core.Engine.trials
-          overhead_pct overhead_ok;
+          "  plain: %d evals in %.3fs (IQR %.3f)  protocol: %d evals in \
+           %.3fs (IQR %.3f, trials=%d)  overhead %.2f%% ok=%b@."
+          plain.Core.Engine.fresh plain_s plain_iqr guarded.Core.Engine.fresh
+          guarded_s guarded_iqr protocol.Core.Engine.trials overhead_pct
+          overhead_ok;
         Printf.sprintf
-          "  {\"kernel\": \"%s\", \"n\": %d, \"trials\": %d,\n\
-          \   \"plain_evals\": %d, \"plain_eval_seconds\": %.4f,\n\
-          \   \"protocol_evals\": %d, \"protocol_eval_seconds\": %.4f,\n\
+          "  {\"kernel\": \"%s\", \"n\": %d, \"trials\": %d, \"pairs\": %d,\n\
+          \   \"plain_evals\": %d, \"plain_eval_seconds\": %.4f, \
+           \"plain_eval_iqr\": %.4f,\n\
+          \   \"protocol_evals\": %d, \"protocol_eval_seconds\": %.4f, \
+           \"protocol_eval_iqr\": %.4f,\n\
           \   \"early_stops\": %d, \"winners_agree\": %b,\n\
           \   \"overhead_pct\": %.2f, \"overhead_ok\": %b}"
-          name n protocol.Core.Engine.trials plain.Core.Engine.fresh
-          plain.Core.Engine.eval_seconds guarded.Core.Engine.fresh
-          guarded.Core.Engine.eval_seconds guarded.Core.Engine.early_stops
-          (plain_mflops = guarded_mflops)
+          name n protocol.Core.Engine.trials faults_bench_pairs
+          plain.Core.Engine.fresh plain_s plain_iqr guarded.Core.Engine.fresh
+          guarded_s guarded_iqr guarded.Core.Engine.early_stops winners_agree
           overhead_pct overhead_ok)
       eval_bench_cases
   in
@@ -645,6 +655,8 @@ let () =
   else if Array.exists (( = ) "--faults-bench") Sys.argv then
     emit_faults_json ()
   else if Array.exists (( = ) "--db-bench") Sys.argv then emit_db_json ()
+  else if Array.exists (( = ) "--search-bench") Sys.argv then
+    emit_search_json (Experiments.Search_cost.run ())
   else begin
     Format.printf "=== Bechamel micro-benchmarks (one per paper artifact) ===@.";
     run_benchmarks ();

@@ -526,16 +526,17 @@ let tune_cmd =
           ~doc:
             "Disable batched multi-plan replay (prefetch sweep groups \
              measured in one shared walk over the demand trace) and fall \
-             back to per-candidate replay — bit-identical results, more \
-             simulation work.")
+             back to per-candidate replay — bit-identical results and the \
+             same fresh evaluations, each sweep walked once per plan.")
   in
   let incremental_arg =
     Arg.(
       value & flag
       & info [ "incremental" ]
           ~doc:
-            "Incremental prefetch re-simulation: within a distance sweep \
-             over one array, replay only the base plan (recording prefetch \
+            "Incremental prefetch re-simulation: within a batched distance \
+             sweep (--prefilter, --sample and the polish/warm-start \
+             retunes), replay only the base plan (recording prefetch \
              timeliness slack), re-price the sibling distances analytically \
              and re-measure only the estimated best.  Cheaper sweeps; the \
              chosen distances may differ slightly from the full search.")

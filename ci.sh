@@ -72,12 +72,20 @@ EOF
 
 # Batched multi-plan replay is on by default and bit-identical: with
 # sampling off, disabling it (and varying the worker count) must not
-# change a byte of the answer.
-dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 \
-  | grep -E "^(best variant|parameters|prefetch|performance):" > ci_batched.txt
+# change a byte of the answer.  Batching is pricing, never extra work:
+# both runs must also report the same fresh-evaluation count.
+dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 > ci_batched_full.txt
 dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --no-batch-replay \
-  | grep -E "^(best variant|parameters|prefetch|performance):" > ci_nobatch.txt
+  > ci_nobatch_full.txt
+grep -E "^(best variant|parameters|prefetch|performance):" ci_batched_full.txt \
+  > ci_batched.txt
+grep -E "^(best variant|parameters|prefetch|performance):" ci_nobatch_full.txt \
+  > ci_nobatch.txt
 cmp ci_batched.txt ci_nobatch.txt
+batched_fresh=$(sed -n 's/^engine: *\([0-9][0-9]*\) fresh evaluations.*/\1/p' ci_batched_full.txt)
+nobatch_fresh=$(sed -n 's/^engine: *\([0-9][0-9]*\) fresh evaluations.*/\1/p' ci_nobatch_full.txt)
+test -n "$batched_fresh"
+test "$batched_fresh" -eq "$nobatch_fresh"
 dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --no-batch-replay --jobs 3 \
   | grep -E "^(best variant|parameters|prefetch|performance):" > ci_nobatch3.txt
 cmp ci_batched.txt ci_nobatch3.txt
@@ -98,7 +106,8 @@ exact_mf=$(sed -n 's/^performance: *\([0-9.]*\) MFLOPS.*/\1/p' ci_exact_op.txt)
 sampled_mf=$(sed -n 's/^performance: *\([0-9.]*\) MFLOPS.*/\1/p' ci_sampled.txt)
 python3 -c "import sys; e, s = float(sys.argv[1]), float(sys.argv[2]); d = (e - s) / e * 100.0; print(f'sampled-vs-exact degradation {d:+.2f}%'); sys.exit(0 if d <= 2.0 else 1)" \
   "$exact_mf" "$sampled_mf"
-rm -f ci_batched.txt ci_nobatch.txt ci_nobatch3.txt ci_exact_op.txt ci_sampled.txt
+rm -f ci_batched.txt ci_nobatch.txt ci_nobatch3.txt ci_exact_op.txt ci_sampled.txt \
+  ci_batched_full.txt ci_nobatch_full.txt
 
 # End-to-end sampled wall-time gate at a search-scale budget: with
 # shrink=4 sampling, incremental repricing and the adaptive

@@ -611,16 +611,19 @@ let model_score t (r : request) =
   t.model_seconds <- t.model_seconds +. (Unix_time.now () -. t0);
   s
 
+(* Insert a prefetch plan into a demand program; raises
+   [Invalid_argument] on a plan the program cannot carry. *)
+let with_prefetch machine program plan =
+  let line = Machine.line_elems machine 0 in
+  List.fold_left
+    (fun p (array, distance) ->
+      Transform.Prefetch_insert.apply p ~array ~distance ~line_elems:line)
+    program plan
+
 let build_program machine (r : request) =
   match Variant.instantiate r.variant ~bindings:r.bindings with
   | exception Invalid_argument _ -> None
-  | program ->
-    let line = Machine.line_elems machine 0 in
-    Some
-      (List.fold_left
-         (fun p (array, distance) ->
-           Transform.Prefetch_insert.apply p ~array ~distance ~line_elems:line)
-         program r.prefetch)
+  | program -> Some (with_prefetch machine program r.prefetch)
 
 let build t r = build_program t.machine (canonical r)
 
@@ -717,13 +720,7 @@ let clean_from_trace ?sampling machine dt (r : request) =
       let buf = Executor.synth_scratch () in
       let cut = Demand_trace.synthesize dt ~plan:r.prefetch ~into:buf in
       let synth_seconds = Unix_time.now () -. t0 in
-      let line = Machine.line_elems machine 0 in
-      let program =
-        List.fold_left
-          (fun p (array, distance) ->
-            Transform.Prefetch_insert.apply p ~array ~distance ~line_elems:line)
-          (Demand_trace.program dt) r.prefetch
-      in
+      let program = with_prefetch machine (Demand_trace.program dt) r.prefetch in
       let m =
         Executor.measure_from_trace ~synth_seconds ?sampling machine
           r.variant.Variant.kernel ~n:r.n ~stats:(Demand_trace.stats dt)
@@ -750,13 +747,13 @@ type raw =
   | Infeasible
   | Failed of failure_reason * tele
 
-(* Wrap one candidate's measurement in the fault-tolerant protocol:
+(* The fault-tolerant protocol comes in two parts.  A *clean*
+   measurement is one deterministic simulation, from whichever tier
+   produced it: the direct path, a trace replay or a sweep-group walk.
+   [protect] is the post-pass every tier shares:
 
-   - the clean (deterministic) simulation runs once; if the fast path
-     raises — organically or by an injected crash — it degrades to the
-     [reference] closure interpreter (bit-identical measurements, so
-     results stay deterministic);
-   - a deterministic simulated-cycle overrun is a final [Timeout];
+   - a deterministic simulated-cycle overrun is a final [Timeout], as
+     is a wall-clock overrun when [protocol.wall_cap_s] is finite;
    - with an active fault plan, each of [protocol.trials] trials draws
      its fate from the plan: transient failures and hangs are retried
      with bounded exponential backoff, and exhausting the budget
@@ -767,37 +764,20 @@ type raw =
 
    Pure apart from wall-clock reads and backoff sleeps: every random
    draw is keyed by [(key, trial, attempt)], so a candidate's outcome is
-   identical at any [--jobs] and in any evaluation order. *)
-let harden ?(trial_base = 0) ~faults ~(protocol : protocol) ~vm ~key ~primary
-    ~reference () =
-  let started = Unix_time.now () in
+   identical at any [--jobs], on any tier and in any evaluation order.
+   [started] is when the clean measurement began. *)
+let protect ?(trial_base = 0) ?(fallbacks = 0) ~faults ~(protocol : protocol)
+    ~key ~started clean =
   let retries = ref 0
   and trials = ref 0
-  and fallbacks = ref 0
   and early = ref 0 in
   let tele () =
     {
       t_retries = !retries;
       t_trials = !trials;
-      t_fallbacks = !fallbacks;
+      t_fallbacks = fallbacks;
       t_early_stops = !early;
     }
-  in
-  let clean =
-    if vm && Faults.crashes faults ~key then begin
-      (* injected fast-path crash: degrade this candidate to the
-         reference interpreter *)
-      incr fallbacks;
-      reference ()
-    end
-    else
-      match primary () with
-      | c -> c
-      | exception Invalid_argument _ -> Clean_failed Malformed_program
-      | exception _ when vm ->
-        (* the fast path died unexpectedly: fall back and keep searching *)
-        incr fallbacks;
-        reference ()
   in
   match clean with
   | Clean_infeasible -> Infeasible
@@ -871,6 +851,32 @@ let harden ?(trial_base = 0) ~faults ~(protocol : protocol) ~vm ~key ~primary
         let m = if agg = c0 then m else Executor.perturb m (agg /. c0) in
         Measured (program, m, tele ())
     end)
+
+(* One candidate measured on its own: the clean simulation runs once;
+   if the fast path raises — organically or by an injected crash — it
+   degrades to the [reference] closure interpreter (bit-identical
+   measurements, so results stay deterministic).  Then [protect]. *)
+let harden ?trial_base ~faults ~protocol ~vm ~key ~primary ~reference () =
+  let started = Unix_time.now () in
+  let fallbacks = ref 0 in
+  let clean =
+    if vm && Faults.crashes faults ~key then begin
+      (* injected fast-path crash: degrade this candidate to the
+         reference interpreter *)
+      incr fallbacks;
+      reference ()
+    end
+    else
+      match primary () with
+      | c -> c
+      | exception Invalid_argument _ -> Clean_failed Malformed_program
+      | exception _ when vm ->
+        (* the fast path died unexpectedly: fall back and keep searching *)
+        incr fallbacks;
+        reference ()
+  in
+  protect ?trial_base ~fallbacks:!fallbacks ~faults ~protocol ~key ~started
+    clean
 
 (* --- demand-trace LRU ------------------------------------------------ *)
 
@@ -1433,25 +1439,20 @@ let note_confirm_skipped t ?log () =
   match log with Some log -> Search_log.note_confirm_skipped log | None -> ()
 
 (* Does the engine collapse sweep groups into batched multi-plan
-   replays?  Only on the fast path with the per-candidate measurement
-   protocol inert: an active fault plan or repeated trials need
-   per-candidate draws, which the shared group walk bypasses. *)
-let grouping_capable t =
-  t.batch_replay
-  && t.path = Executor.Fast
-  && (not t.faults.Faults.active)
-  && t.protocol.trials <= 1
-
-let tele0 = { t_retries = 0; t_trials = 0; t_fallbacks = 0; t_early_stops = 0 }
+   replays?  On the fast path whenever batched replay is on: a group
+   walk yields clean measurements, and every member then runs through
+   the same [protect] post-pass as an ungrouped candidate. *)
+let grouping_capable t = t.batch_replay && t.path = Executor.Fast
 
 (* One batched sweep group: [members] share one demand-trace key.  All
    plans are measured in a single multi-plan walk over the captured
    trace ([Demand_trace.measure_plans]); in incremental mode,
    distance-only siblings are re-priced from the base plan's slack
    samples instead ([Demand_trace.reprice_group]), and a re-priced
-   member comes back as [None].  The returned thunk is
-   engine-state-free, so it can run on any worker domain; if the group
-   walk dies, every member degrades to its own hardened task. *)
+   member comes back as [None].  Each measured member then goes through
+   [protect].  The returned thunk is engine-state-free, so it can run
+   on any worker domain; if the group walk dies, every member degrades
+   to its own hardened task. *)
 let group_unit t members =
   let r0, fp0, _ = members.(0) in
   match candidate_dt t r0 fp0 with
@@ -1462,10 +1463,11 @@ let group_unit t members =
   | Some dt ->
     t.batched_groups <- t.batched_groups + 1;
     t.batched_candidates <- t.batched_candidates + Array.length members;
-    let machine = t.machine in
+    let machine = t.machine
+    and faults = t.faults
+    and protocol = t.protocol in
     let kernel = r0.variant.Variant.kernel in
     let n = r0.n in
-    let protocol = t.protocol in
     let sampling = engine_sampling t in
     let use_incremental = t.incremental && t.objective = Objective.Cycles in
     let plans = Array.map (fun ((r : request), _, _) -> r.prefetch) members in
@@ -1476,55 +1478,42 @@ let group_unit t members =
        coordinator only after [Domain.join] — no race. *)
     let joint = ref 0 in
     let thunk () =
-      let started = Unix_time.now () in
-      (* Replicate [harden]'s passthrough checks — grouping only engages
-         when the protocol is inert, so this is the whole protocol:
-         deterministic cycle cap, wall cap, typed malformed failures. *)
-      let finishing i m =
-        let (r : request), _, _ = members.(i) in
-        if Executor.cycles m > protocol.cycle_cap then Failed (Timeout, tele0)
-        else if
-          protocol.wall_cap_s < infinity
-          && Unix_time.now () -. started > protocol.wall_cap_s
-        then Failed (Timeout, tele0)
-        else
-          let line = Machine.line_elems machine 0 in
-          match
-            List.fold_left
-              (fun p (array, distance) ->
-                Transform.Prefetch_insert.apply p ~array ~distance
-                  ~line_elems:line)
-              (Demand_trace.program dt) r.prefetch
-          with
-          | exception Invalid_argument _ -> Failed (Malformed_program, tele0)
-          | program -> Measured (program, m, tele0)
-      in
-      match
-        if use_incremental then
-          match
+      let t0 = Unix_time.now () in
+      let walk () =
+        match
+          if use_incremental then
             Demand_trace.reprice_group ?sampling machine kernel ~n dt ~plans
-          with
-          | Some rp ->
-            if rp.Demand_trace.rp_joint then
-              joint := rp.Demand_trace.rp_estimated;
-            Array.mapi
-              (fun i m -> Option.map (finishing i) m)
-              rp.Demand_trace.rp_measurements
-          | None ->
-            Array.mapi
-              (fun i m -> Some (finishing i m))
-              (Demand_trace.measure_plans ?sampling machine kernel ~n dt ~plans)
-        else
-          Array.mapi
-            (fun i m -> Some (finishing i m))
+          else None
+        with
+        | Some rp ->
+          if rp.Demand_trace.rp_joint then
+            joint := rp.Demand_trace.rp_estimated;
+          rp.Demand_trace.rp_measurements
+        | None ->
+          Array.map Option.some
             (Demand_trace.measure_plans ?sampling machine kernel ~n dt ~plans)
-      with
-      | out -> out
+      in
+      match walk () with
       | exception _ ->
         (* the group walk died: measure every member individually under
            the full per-candidate protection *)
         joint := 0;
         Array.map (fun task -> Some (task ())) fallbacks
+      | measured ->
+        (* Each member is charged the whole shared walk, plus only its
+           own protocol time, against the wall cap. *)
+        let walk_s = Unix_time.now () -. t0 in
+        let finish i m =
+          let (r : request), fp, _ = members.(i) in
+          let clean =
+            match with_prefetch machine (Demand_trace.program dt) r.prefetch with
+            | exception Invalid_argument _ -> Clean_failed Malformed_program
+            | program -> Clean (program, m)
+          in
+          protect ~faults ~protocol ~key:(fault_key fp)
+            ~started:(Unix_time.now () -. walk_s) clean
+        in
+        Array.mapi (fun i m -> Option.map (finish i) m) measured
     in
     (members, joint, thunk)
 
@@ -1629,9 +1618,12 @@ let evaluate_batch t ?log reqs =
         let order = ref [] in
         List.iter
           (fun (((r : request), fp, _) as e) ->
+            (* An injected fast-path crash splits its candidate out to
+               its own hardened task, exactly as ungrouped. *)
             let groupable =
               r.prefetch <> []
               && ((not r.check) || Variant.feasible r.variant ~n:r.n r.bindings)
+              && not (Faults.crashes t.faults ~key:(fault_key fp))
             in
             if groupable then begin
               let key = trace_key fp in

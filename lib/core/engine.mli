@@ -179,12 +179,14 @@ val set_prefilter : t -> int option -> unit
       {!Search_log.note_repriced}) and are {e not} memoized — like
       pre-filter skips, a later request can still measure them.
 
-    Batching engages only when the engine is on the [Fast] path with no
-    active fault plan and [trials <= 1] (the group bypasses the
-    per-candidate protocol, which would otherwise need per-candidate
-    draws); the cycle-cap and wall-cap deadlines still apply.  With
-    batching disabled and no sampling spec, evaluation is byte-for-byte
-    the historical behaviour. *)
+    Batching engages whenever the engine is on the [Fast] path.  A
+    group walk only produces clean measurements: every member then
+    runs through the same protocol post-pass as an ungrouped candidate
+    (caps, fault draws, retries, aggregation), and a member drawing an
+    injected fast-path crash is measured on its own.  Batching is
+    pricing, never extra work: it changes no candidate set, so without
+    incremental repricing the fresh counts, the search log and the
+    answer are those of the unbatched engine. *)
 
 val sampling : t -> Memsim.Sampling.t option
 val set_sampling : t -> Memsim.Sampling.t option -> unit
@@ -233,13 +235,6 @@ val note_confirm_skipped : t -> ?log:Search_log.t -> unit -> unit
     [Search] uses it to decide whether a confirmed winner is close
     enough to the global floor to be worth exact polishing. *)
 val best_cycles : t -> float option
-
-(** Will {!evaluate_batch} collapse sweep groups into batched
-    multi-plan replays under the current configuration?  True on the
-    [Fast] path with batching enabled, no active fault plan and
-    [trials <= 1].  Searches consult this to decide when a speculative
-    distance pre-batch is worthwhile. *)
-val grouping_capable : t -> bool
 
 (** {2 Persistent performance database}
 

@@ -14,6 +14,13 @@ let some_point engine v ~n =
   | Some bindings -> bindings
   | None -> Alcotest.fail "no model point for test variant"
 
+let answer (r : Core.Eco.result) =
+  let o = r.Core.Eco.outcome in
+  ( o.Core.Search.variant.Core.Variant.name,
+    o.Core.Search.bindings,
+    o.Core.Search.prefetch,
+    Core.Executor.cycles r.Core.Eco.measurement )
+
 (* --- the plan itself: pure, seeded, robust aggregation --- *)
 
 let test_draw_deterministic () =
@@ -92,29 +99,36 @@ let test_faulty_search_jobs_deterministic () =
 let test_zero_rate_plan_is_transparent () =
   (* An active plan with every rate at zero runs the whole protocol
      (draws, trials, aggregation, adaptive stop) yet must reproduce the
-     plain engine bit for bit. *)
-  let plain = Core.Engine.create sgi in
-  let r0 = Core.Eco.optimize_with ~mode:fast plain Matmul.kernel ~n:32 in
-  let protocol = { Core.Engine.default_protocol with trials = 3 } in
-  let guarded =
-    Core.Engine.create ~faults:(Faults.make ~seed:1 ()) ~protocol sgi
+     plain engine bit for bit, point for point, on every kernel. *)
+  let tune engine kernel =
+    let r = Core.Eco.optimize_with ~mode:fast engine kernel ~n:32 in
+    (answer r, Core.Search_log.entries r.Core.Eco.log)
   in
-  let r1 = Core.Eco.optimize_with ~mode:fast guarded Matmul.kernel ~n:32 in
-  Alcotest.(check (float 0.0)) "identical best cycles"
-    (Core.Executor.cycles r0.Core.Eco.measurement)
-    (Core.Executor.cycles r1.Core.Eco.measurement);
-  Alcotest.(check bool) "identical best point" true
-    (r0.Core.Eco.outcome.Core.Search.bindings
-     = r1.Core.Eco.outcome.Core.Search.bindings
-    && r0.Core.Eco.outcome.Core.Search.prefetch
-       = r1.Core.Eco.outcome.Core.Search.prefetch);
-  let s0 = Core.Engine.stats plain and s1 = Core.Engine.stats guarded in
-  Alcotest.(check int) "same fresh evaluations" s0.Core.Engine.fresh
-    s1.Core.Engine.fresh;
-  (* Identical samples stop every candidate's trials at the minimum. *)
-  Alcotest.(check int) "every candidate stopped early" s1.Core.Engine.fresh
-    s1.Core.Engine.early_stops;
-  Alcotest.(check int) "no retries" 0 s1.Core.Engine.retries
+  List.iter
+    (fun (kernel : Kernels.Kernel.t) ->
+      let name = kernel.Kernels.Kernel.name in
+      let plain = Core.Engine.create sgi in
+      let protocol = { Core.Engine.default_protocol with trials = 3 } in
+      let guarded =
+        Core.Engine.create ~faults:(Faults.make ~seed:1 ()) ~protocol sgi
+      in
+      let a0, p0 = tune plain kernel and a1, p1 = tune guarded kernel in
+      Alcotest.(check bool) (name ^ ": identical answer") true (a0 = a1);
+      Alcotest.(check bool) (name ^ ": identical points") true (p0 = p1);
+      let s0 = Core.Engine.stats plain and s1 = Core.Engine.stats guarded in
+      Alcotest.(check int) (name ^ ": same fresh evaluations")
+        s0.Core.Engine.fresh s1.Core.Engine.fresh;
+      (* Identical samples stop every candidate's trials at the minimum. *)
+      Alcotest.(check int) (name ^ ": every candidate stopped early")
+        s1.Core.Engine.fresh s1.Core.Engine.early_stops;
+      Alcotest.(check int) (name ^ ": no retries") 0 s1.Core.Engine.retries)
+    [
+      Matmul.kernel;
+      Kernels.Jacobi3d.kernel;
+      Kernels.Matvec.kernel;
+      Kernels.Stencil2d.kernel;
+      Kernels.Wavefront.kernel;
+    ]
 
 (* --- retry, quarantine, timeout --- *)
 
@@ -212,13 +226,6 @@ let test_crash_degrades_to_closures () =
 
 let ck_tune engine = Core.Eco.optimize_with ~mode:fast engine Matmul.kernel ~n:32
 
-let answer (r : Core.Eco.result) =
-  let o = r.Core.Eco.outcome in
-  ( o.Core.Search.variant.Core.Variant.name,
-    o.Core.Search.bindings,
-    o.Core.Search.prefetch,
-    Core.Executor.cycles r.Core.Eco.measurement )
-
 let test_checkpoint_kill_resume_equivalence () =
   let file = Filename.temp_file "eco_ck" ".bin" in
   let tag = "test|matmul|n=32" in
@@ -257,6 +264,108 @@ let test_checkpoint_kill_resume_equivalence () =
      the uninterrupted run's: no evaluation was lost or repeated. *)
   Alcotest.(check bool) "telemetry adds up across the kill" true
     (totals b = totals c);
+  Sys.remove file
+
+(* --- the protect post-pass on batched sweep groups --- *)
+
+(* Value-preserving faults: transients and hangs, no timing noise. *)
+let benign () = Faults.make ~seed:7 ~transient:0.05 ~hang:0.02 ()
+let three_trials = { Core.Engine.default_protocol with trials = 3 }
+
+let prefilter_engine ~batch () =
+  let e =
+    Core.Engine.create ~faults:(benign ()) ~protocol:three_trials
+      ~prefilter:Core.Engine.default_prefilter sgi
+  in
+  Core.Engine.set_batch_replay e batch;
+  e
+
+let protocol_tele e =
+  let s = Core.Engine.stats e in
+  ( s.Core.Engine.fresh,
+    s.Core.Engine.failed,
+    s.Core.Engine.retries,
+    s.Core.Engine.trials_run,
+    s.Core.Engine.early_stops,
+    s.Core.Engine.vm_fallbacks )
+
+let test_protocol_on_groups_matches_ungrouped () =
+  let grouped = prefilter_engine ~batch:true () in
+  let ungrouped = prefilter_engine ~batch:false () in
+  let a = ck_tune grouped and b = ck_tune ungrouped in
+  Alcotest.(check bool) "sweep groups were walked" true
+    ((Core.Engine.stats grouped).Core.Engine.batched_groups > 0);
+  Alcotest.(check bool) "faults were absorbed" true
+    ((Core.Engine.stats grouped).Core.Engine.retries > 0);
+  Alcotest.(check bool) "same answer" true (answer a = answer b);
+  Alcotest.(check bool) "same protocol telemetry" true
+    (protocol_tele grouped = protocol_tele ungrouped)
+
+(* A distance sweep at one point is one sweep group; an injected
+   fast-path crash on some of its members must take only those members
+   out of the group, each degraded to the reference interpreter. *)
+let test_crash_splits_one_member () =
+  let v = variant () in
+  let faults = Faults.make ~seed:3 ~crash:0.3 () in
+  let sweep ~batch faults =
+    let e = Core.Engine.create ~faults sgi in
+    Core.Engine.set_batch_replay e batch;
+    let bindings = some_point e v ~n:32 in
+    let cycles =
+      List.map
+        (fun ev ->
+          Option.map
+            (fun ev -> Core.Executor.cycles ev.Core.Engine.measurement)
+            ev)
+        (Core.Engine.evaluate_batch e
+           (List.map
+              (fun d ->
+                Core.Engine.request v ~n:32 ~mode:fast ~bindings
+                  ~prefetch:[ ("a", d) ])
+              [ 1; 2; 4; 8; 16; 32 ]))
+    in
+    (cycles, Core.Engine.stats e)
+  in
+  let clean, _ = sweep ~batch:true Faults.none in
+  let grouped, gs = sweep ~batch:true faults in
+  let ungrouped, us = sweep ~batch:false faults in
+  let crashed = gs.Core.Engine.vm_fallbacks in
+  Alcotest.(check bool) "some but not all members crashed" true
+    (crashed > 0 && crashed < 6);
+  Alcotest.(check int) "same fallbacks as ungrouped"
+    us.Core.Engine.vm_fallbacks crashed;
+  Alcotest.(check int) "the rest stayed grouped" (6 - crashed)
+    gs.Core.Engine.batched_candidates;
+  Alcotest.(check bool) "same measurements as ungrouped and clean" true
+    (grouped = ungrouped && grouped = clean)
+
+(* Kill/resume runs on a sampled search, whose greedy prefetch stage
+   prices whole distance sweeps as groups. *)
+let sampled_engine () =
+  let e = Core.Engine.create ~faults:(benign ()) ~protocol:three_trials sgi in
+  Core.Engine.set_sampling e (Some Memsim.Sampling.default);
+  e
+
+let test_protocol_kill_resume_grouped () =
+  let file = Filename.temp_file "eco_ck" ".bin" in
+  let tag = "test|matmul|n=32|sampled|faults" in
+  let a = sampled_engine () in
+  Core.Engine.set_checkpoint a ~every:4 ~tag file;
+  Core.Engine.set_eval_limit a 20;
+  (match ck_tune a with
+  | exception Core.Engine.Eval_limit_reached 20 -> ()
+  | _ -> Alcotest.fail "expected the injected kill");
+  let b = sampled_engine () in
+  Core.Engine.set_checkpoint b ~every:4 ~tag file;
+  (match Core.Engine.load_checkpoint b ~tag file with
+  | None -> Alcotest.fail "checkpoint did not load"
+  | Some _ -> ());
+  let resumed = ck_tune b in
+  Alcotest.(check bool) "sweep groups were walked" true
+    ((Core.Engine.stats b).Core.Engine.batched_groups > 0);
+  let uninterrupted = ck_tune (sampled_engine ()) in
+  Alcotest.(check bool) "resumed answer = uninterrupted answer" true
+    (answer resumed = answer uninterrupted);
   Sys.remove file
 
 let test_checkpoint_tag_mismatch_refuses () =
@@ -304,6 +413,12 @@ let suite =
       test_crash_degrades_to_closures;
     Alcotest.test_case "checkpoint: kill/resume equivalence" `Quick
       test_checkpoint_kill_resume_equivalence;
+    Alcotest.test_case "protocol on sweep groups = ungrouped" `Quick
+      test_protocol_on_groups_matches_ungrouped;
+    Alcotest.test_case "crash splits one group member" `Quick
+      test_crash_splits_one_member;
+    Alcotest.test_case "checkpoint: kill/resume with grouped protocol" `Quick
+      test_protocol_kill_resume_grouped;
     Alcotest.test_case "checkpoint: tag mismatch refused" `Quick
       test_checkpoint_tag_mismatch_refuses;
     Alcotest.test_case "checkpoint: corrupt file ignored" `Quick

@@ -606,17 +606,38 @@ let optimize ?sampling ?(batch = true) ?(incremental = false) ?(jobs = 1) () =
   let r = Core.Eco.optimize_with ~mode:fast engine Matmul.kernel ~n:48 in
   (r, Core.Engine.stats engine)
 
+(* Batching is pricing, never extra work: an exact, unfiltered tune
+   submits the same candidates with batched replay on or off, so the
+   fresh count, every logged point and the answer all agree — on every
+   kernel. *)
+let tune_trail ~batch kernel =
+  let engine = Core.Engine.create sgi in
+  Core.Engine.set_batch_replay engine batch;
+  let r = Core.Eco.optimize_with ~mode:fast engine kernel ~n:48 in
+  let o = r.Core.Eco.outcome in
+  ( (Core.Engine.stats engine).Core.Engine.fresh,
+    Core.Search_log.entries r.Core.Eco.log,
+    ( o.Core.Search.variant.Core.Variant.name,
+      o.Core.Search.bindings,
+      o.Core.Search.prefetch,
+      Core.Executor.cycles r.Core.Eco.measurement ) )
+
 let test_batching_off_bit_identical () =
-  let on, _ = optimize () in
-  let off, _ = optimize ~batch:false () in
-  Alcotest.(check bool) "same winner cycles" true
-    (Core.Executor.cycles on.Core.Eco.measurement
-    = Core.Executor.cycles off.Core.Eco.measurement);
-  Alcotest.(check bool) "same winner point" true
-    (on.Core.Eco.outcome.Core.Search.bindings
-     = off.Core.Eco.outcome.Core.Search.bindings
-    && on.Core.Eco.outcome.Core.Search.prefetch
-       = off.Core.Eco.outcome.Core.Search.prefetch)
+  List.iter
+    (fun (k : Kernels.Kernel.t) ->
+      let name = k.Kernels.Kernel.name in
+      let f0, p0, a0 = tune_trail ~batch:true k
+      and f1, p1, a1 = tune_trail ~batch:false k in
+      Alcotest.(check int) (name ^ ": same fresh count") f0 f1;
+      Alcotest.(check bool) (name ^ ": same points") true (p0 = p1);
+      Alcotest.(check bool) (name ^ ": same answer") true (a0 = a1))
+    [
+      Kernels.Matmul.kernel;
+      Kernels.Jacobi3d.kernel;
+      Kernels.Matvec.kernel;
+      Kernels.Stencil2d.kernel;
+      Kernels.Wavefront.kernel;
+    ]
 
 let test_sampled_search_jobs_deterministic () =
   let a, _ =
@@ -640,8 +661,13 @@ let test_sampled_search_winner_is_exact () =
   Alcotest.(check bool) "winner measured exactly" true
     (Core.Executor.cycles r.Core.Eco.measurement = Core.Executor.cycles exact)
 
+(* An exact, unfiltered search submits no sweep groups (its prefetch
+   descent is serial), so repricing is exercised on the sampled search,
+   whose greedy prefetch stage prices whole distance sweeps. *)
 let test_incremental_repricing_engages () =
-  let r, stats = optimize ~incremental:true () in
+  let r, stats =
+    optimize ~sampling:Memsim.Sampling.default ~incremental:true ()
+  in
   Alcotest.(check bool) "some candidates repriced" true
     (stats.Core.Engine.repriced > 0);
   Alcotest.(check bool) "sane winner" true
