@@ -187,7 +187,6 @@ let eval_bench_run path kernel ~n =
 let eval_bench_replay kernel ~n =
   let engine = Core.Engine.create ~path:Core.Executor.Fast Machine.sgi_r10000 in
   Core.Engine.set_sampling engine (Some Memsim.Sampling.default);
-  Core.Engine.set_batch_replay engine true;
   Core.Engine.set_incremental engine true;
   let t0 = Unix.gettimeofday () in
   let r = Core.Eco.optimize_with ~mode:eval_bench_mode engine kernel ~n in

@@ -158,7 +158,7 @@ let load_db ?(lock = false) cmd file =
 
 let tune machine kernel n budget jobs objective prefilter profile closures
     validate faults_spec trials retries checkpoint checkpoint_every die_after
-    db_file no_warm_start sample no_batch_replay incremental confirm timeout =
+    db_file no_warm_start sample incremental confirm timeout =
   let mode = mode_of_budget budget in
   let path =
     if closures then Core.Executor.Closures else Core.Executor.Fast
@@ -190,7 +190,6 @@ let tune machine kernel n budget jobs objective prefilter profile closures
         exit 2)
   in
   Core.Engine.set_sampling engine sampling;
-  Core.Engine.set_batch_replay engine (not no_batch_replay);
   Core.Engine.set_incremental engine incremental;
   (match confirm with
   | Some k when k < 1 ->
@@ -211,29 +210,7 @@ let tune machine kernel n budget jobs objective prefilter profile closures
   | Some file -> (
     (* The tag encodes everything that determines the answer, so a
        stale checkpoint from a different run cannot be resumed. *)
-    let tag =
-      Printf.sprintf
-        "tune|m=%s|k=%s|n=%d|b=%d|path=%s|faults=%s|trials=%d|retries=%d|obj=%s|pf=%s"
-        machine.Machine.name kernel.Kernels.Kernel.name n budget
-        (if closures then "closures" else "fast")
-        (Faults.to_spec faults) trials retries
-        (Core.Objective.to_string objective)
-        (match prefilter with Some k -> string_of_int k | None -> "off")
-      ^ Printf.sprintf "|db=%s"
-          (match db_file with
-          | None -> "off"
-          | Some _ when no_warm_start -> "exact"
-          | Some _ -> "warm")
-      ^ Printf.sprintf "|sample=%s|batch=%s|incr=%s|confirm=%s"
-          (match sampling with
-          | Some sp -> Memsim.Sampling.to_string sp
-          | None -> "off")
-          (if no_batch_replay then "off" else "on")
-          (if incremental then "on" else "off")
-          (match confirm with
-          | Some k -> string_of_int k
-          | None -> "adaptive")
-    in
+    let tag = Core.Engine.run_tag engine ~kernel ~n ~budget in
     Core.Engine.set_checkpoint engine ~every:checkpoint_every ~tag file;
     match Core.Engine.load_checkpoint engine ~tag file with
     | exception Core.Engine.Checkpoint_mismatch msg ->
@@ -252,13 +229,11 @@ let tune machine kernel n budget jobs objective prefilter profile closures
   if faults.Faults.active then
     Format.printf "faults:       %s (trials=%d, retries=%d)@."
       (Faults.to_spec faults) trials retries;
-  if sampling <> None || no_batch_replay || incremental || confirm <> None then
-    Format.printf
-      "replay:       sample=%s, batching=%s, incremental=%s, confirm=%s@."
+  if sampling <> None || incremental || confirm <> None then
+    Format.printf "replay:       sample=%s, incremental=%s, confirm=%s@."
       (match sampling with
       | Some sp -> Memsim.Sampling.to_string sp
       | None -> "off")
-      (if no_batch_replay then "off" else "on")
       (if incremental then "on" else "off")
       (match confirm with
       | Some k -> string_of_int k
@@ -519,27 +494,20 @@ let tune_cmd =
                 fields, e.g. 'shrink=4,window=8192'; $(b,--sample) alone \
                 uses %s." (Memsim.Sampling.to_string Memsim.Sampling.default)))
   in
-  let no_batch_replay_arg =
-    Arg.(
-      value & flag
-      & info [ "no-batch-replay" ]
-          ~doc:
-            "Disable batched multi-plan replay (prefetch sweep groups \
-             measured in one shared walk over the demand trace) and fall \
-             back to per-candidate replay — bit-identical results and the \
-             same fresh evaluations, each sweep walked once per plan.")
-  in
   let incremental_arg =
     Arg.(
       value & flag
       & info [ "incremental" ]
           ~doc:
-            "Incremental prefetch re-simulation: within a batched distance \
-             sweep (--prefilter, --sample and the polish/warm-start \
-             retunes), replay only the base plan (recording prefetch \
-             timeliness slack), re-price the sibling distances analytically \
-             and re-measure only the estimated best.  Cheaper sweeps; the \
-             chosen distances may differ slightly from the full search.")
+            "Incremental prefetch re-simulation: within a distance sweep \
+             that the fast path measures as one batched group \
+             (--prefilter, --sample and the polish/warm-start retunes), \
+             replay only the base plan (recording prefetch timeliness \
+             slack), re-price the sibling distances analytically and \
+             re-measure only the estimated best.  Cheaper sweeps; the \
+             chosen distances may differ slightly from the full search.  \
+             No effect with --closures, which measures every candidate on \
+             its own.")
   in
   let confirm_arg =
     Arg.(
@@ -573,7 +541,7 @@ let tune_cmd =
       $ jobs_arg $ objective_arg $ prefilter_arg $ profile_arg $ closures_arg
       $ validate_arg $ faults_arg $ trials_arg $ retries_arg $ checkpoint_arg
       $ checkpoint_every_arg $ die_after_arg $ db_arg $ no_warm_start_arg
-      $ sample_arg $ no_batch_replay_arg $ incremental_arg $ confirm_arg
+      $ sample_arg $ incremental_arg $ confirm_arg
       $ timeout_arg)
 
 (* --- check --- *)

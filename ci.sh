@@ -70,25 +70,27 @@ EOF
 
 # --- Batched, sampled and incremental replay -----------------------------
 
-# Batched multi-plan replay is on by default and bit-identical: with
-# sampling off, disabling it (and varying the worker count) must not
-# change a byte of the answer.  Batching is pricing, never extra work:
-# both runs must also report the same fresh-evaluation count.
+# Batched multi-plan replay is always on for the fast path and
+# bit-identical: with sampling off, the reference closure interpreter
+# (--closures, which measures every candidate on its own) must print
+# the same answer byte for byte, at any worker count.  Batching is
+# pricing, never extra work: both runs must also report the same
+# fresh-evaluation count.
 dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 > ci_batched_full.txt
-dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --no-batch-replay \
-  > ci_nobatch_full.txt
+dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --closures \
+  > ci_closures_full.txt
 grep -E "^(best variant|parameters|prefetch|performance):" ci_batched_full.txt \
   > ci_batched.txt
-grep -E "^(best variant|parameters|prefetch|performance):" ci_nobatch_full.txt \
-  > ci_nobatch.txt
-cmp ci_batched.txt ci_nobatch.txt
+grep -E "^(best variant|parameters|prefetch|performance):" ci_closures_full.txt \
+  > ci_closures.txt
+cmp ci_batched.txt ci_closures.txt
 batched_fresh=$(sed -n 's/^engine: *\([0-9][0-9]*\) fresh evaluations.*/\1/p' ci_batched_full.txt)
-nobatch_fresh=$(sed -n 's/^engine: *\([0-9][0-9]*\) fresh evaluations.*/\1/p' ci_nobatch_full.txt)
+closures_fresh=$(sed -n 's/^engine: *\([0-9][0-9]*\) fresh evaluations.*/\1/p' ci_closures_full.txt)
 test -n "$batched_fresh"
-test "$batched_fresh" -eq "$nobatch_fresh"
-dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --no-batch-replay --jobs 3 \
-  | grep -E "^(best variant|parameters|prefetch|performance):" > ci_nobatch3.txt
-cmp ci_batched.txt ci_nobatch3.txt
+test "$batched_fresh" -eq "$closures_fresh"
+dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 --closures --jobs 3 \
+  | grep -E "^(best variant|parameters|prefetch|performance):" > ci_closures3.txt
+cmp ci_batched.txt ci_closures3.txt
 
 # Sampled + incremental equivalence smoke at the benchmarked operating
 # point (the default spec's shrink needs a search-scale trace to be
@@ -106,8 +108,8 @@ exact_mf=$(sed -n 's/^performance: *\([0-9.]*\) MFLOPS.*/\1/p' ci_exact_op.txt)
 sampled_mf=$(sed -n 's/^performance: *\([0-9.]*\) MFLOPS.*/\1/p' ci_sampled.txt)
 python3 -c "import sys; e, s = float(sys.argv[1]), float(sys.argv[2]); d = (e - s) / e * 100.0; print(f'sampled-vs-exact degradation {d:+.2f}%'); sys.exit(0 if d <= 2.0 else 1)" \
   "$exact_mf" "$sampled_mf"
-rm -f ci_batched.txt ci_nobatch.txt ci_nobatch3.txt ci_exact_op.txt ci_sampled.txt \
-  ci_batched_full.txt ci_nobatch_full.txt
+rm -f ci_batched.txt ci_closures.txt ci_closures3.txt ci_exact_op.txt ci_sampled.txt \
+  ci_batched_full.txt ci_closures_full.txt
 
 # End-to-end sampled wall-time gate at a search-scale budget: with
 # shrink=4 sampling, incremental repricing and the adaptive
@@ -211,11 +213,13 @@ cmp ci_clean.txt ci_resumed.txt
 rm -f ci_ck.bin ci_clean.txt ci_faulty.txt ci_resumed.txt ci_resumed_full.txt
 
 # Protocol overhead benchmark: a zero-rate fault plan with 3 trials
-# must cost <5% on evaluation time and find the same winners.
+# must cost <5% on evaluation time and find the same winners.  (Under
+# "sh -e" a failing "! cmd" does not stop the script, so the negated
+# gates are spelled as explicit exits.)
 dune exec bench/main.exe -- --faults-bench
 grep -q '"overhead_ok": true' BENCH_faults.json
-! grep -q '"overhead_ok": false' BENCH_faults.json
-! grep -q '"winners_agree": false' BENCH_faults.json
+if grep -q '"overhead_ok": false' BENCH_faults.json; then exit 1; fi
+if grep -q '"winners_agree": false' BENCH_faults.json; then exit 1; fi
 
 # --- Persistent performance database -------------------------------------
 
@@ -276,7 +280,7 @@ rm -f ci_db.bin ci_db_pop.txt ci_db_pop_ans.txt ci_db_replay.txt \
 # chosen-point degradation on both kernels.
 dune exec bench/main.exe -- --db-bench
 grep -q '"warm_ok": true' BENCH_db.json
-! grep -q '"warm_ok": false' BENCH_db.json
+if grep -q '"warm_ok": false' BENCH_db.json; then exit 1; fi
 
 # --- The autotuning service (eco serve) ------------------------------
 rm -rf ci_serve && mkdir -p ci_serve

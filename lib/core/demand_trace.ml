@@ -163,10 +163,11 @@ let capture machine (kernel : Kernels.Kernel.t) ~n ~(mode : Executor.mode)
   }
 
 (* Per-iteration emission table of [plan]: for each mark id, the
-   [(base, terms, bucket)] prefetch emissions in stream order (see the
-   ordering comment in [synthesize]).  [bucket] is the slack bucket the
-   incremental repricer assigned to the emission's array in [track]
-   (-1 = untracked). *)
+   [(base, terms, bucket)] prefetch emissions in stream order — [apply]
+   is folded over the plan in ascending order and prepends to the body,
+   so the last-applied (greatest) array's prefetches come first.
+   [bucket] is the slack bucket the incremental repricer assigned to
+   the emission's array in [track] (-1 = untracked). *)
 let emit_table t ~plan ~track =
   Array.map
     (fun site ->
@@ -187,40 +188,9 @@ let emit_table t ~plan ~track =
            plan))
     t.sites
 
-(* Number of innermost-loop iteration records in the captured trace —
-   the granularity at which a prefetch distance shifts an emission. *)
-let iterations t =
-  let marks = t.marks in
-  let n_marks = Array.length marks in
-  let n = ref 0 in
-  let pos = ref 0 in
-  while !pos < n_marks do
-    incr n;
-    pos := !pos + t.mark_width.(marks.(!pos))
-  done;
-  !n
-
 let synthesize t ~plan ~(into : Ir.Vm.Buf.t) =
   Ir.Vm.Buf.clear into;
-  (* Per-iteration emission list per mark id: [apply] is folded over the
-     plan in ascending order and prepends to the body, so the
-     last-applied (greatest) array's prefetches come first. *)
-  let emit =
-    Array.map
-      (fun site ->
-        let site = Array.to_list site in
-        Array.concat
-          (List.rev_map
-             (fun (a, d) ->
-               match List.assoc_opt a site with
-               | None -> [||]
-               | Some reps ->
-                 Array.map
-                   (fun rep -> (rep.rconst + (rep.vcoef * d), rep.rterms))
-                   reps)
-             plan))
-      t.sites
-  in
+  let emit = emit_table t ~plan ~track:[] in
   let events = t.events and marks = t.marks in
   let n_events = Array.length events and n_marks = Array.length marks in
   let cut = ref (-1) in
@@ -237,7 +207,7 @@ let synthesize t ~plan ~(into : Ir.Vm.Buf.t) =
     prev := epos;
     let ems = emit.(id) in
     for e = 0 to Array.length ems - 1 do
-      let base, terms = ems.(e) in
+      let base, terms, _ = ems.(e) in
       let v = ref base in
       for k = 0 to Array.length terms - 1 do
         let field, coeff = terms.(k) in
@@ -357,10 +327,21 @@ let warm_walk ?cap t b emits =
 
 let timings_of ~sim_s = { Executor.compile_s = 0.0; exec_s = 0.0; sim_s }
 
-let measure_pool ?sampling machine kernel ~n t ~plans =
-  let t0 = Unix_time.now () in
-  let k = Array.length plans in
-  let emits = Array.map (fun plan -> emit_table t ~plan ~track:[]) plans in
+(* The one measured walk: after [warm_walk], every plan's [emits] stream
+   is fed to its own pooled hierarchy.  Exact replay re-feeds the full
+   stream on the warmed state (the historical semantics); sampled
+   replay measures only the post-cut suffix and scales back up by the
+   suffix fraction, mirroring [Executor.replay_measured].  Returns the
+   hierarchies (counters synced, not yet extrapolated), each plan's
+   extrapolation factor (1.0 when exact) and the number of iteration
+   records walked.
+
+   [?observe] is the repricer's slack observer: every measured event is
+   then fed one at a time, and [observe bucket v slack] sees it with
+   the slack [Hierarchy.Batch.replay_one] returned ([bucket] is the
+   emission's slack bucket for a prefetch, -1 for a demand event). *)
+let measure_pool ?sampling ?observe machine t ~emits =
+  let k = Array.length emits in
   let hs = Executor.pooled_hierarchies machine k in
   let b = Memsim.Hierarchy.Batch.create hs in
   let events = t.events and marks = t.marks in
@@ -373,9 +354,23 @@ let measure_pool ?sampling machine kernel ~n t ~plans =
     | None -> None
     | Some sp -> Some (Array.init k (fun _ -> Memsim.Sampling.sampler sp))
   in
+  let measure i lo len =
+    match observe with
+    | None -> Memsim.Hierarchy.Batch.replay_range b i events ~pos:lo ~len
+    | Some obs ->
+      for e = lo to lo + len - 1 do
+        let v = Array.unsafe_get events e in
+        obs (-1) v (Memsim.Hierarchy.Batch.replay_one b i v)
+      done
+  in
   let feed_demand prev epos =
     match samplers with
-    | None -> Memsim.Hierarchy.Batch.replay_all b events ~pos:prev ~len:(epos - prev)
+    | None when observe = None ->
+      Memsim.Hierarchy.Batch.replay_all b events ~pos:prev ~len:(epos - prev)
+    | None ->
+      for i = 0 to k - 1 do
+        measure i prev (epos - prev)
+      done
     | Some ss ->
       for i = 0 to k - 1 do
         let s = ss.(i) in
@@ -384,8 +379,7 @@ let measure_pool ?sampling machine kernel ~n t ~plans =
         while !remaining > 0 do
           let action, c = Memsim.Sampling.take s !remaining in
           (match action with
-          | Memsim.Sampling.Measure ->
-            Memsim.Hierarchy.Batch.replay_range b i events ~pos:!p ~len:c
+          | Memsim.Sampling.Measure -> measure i !p c
           | Memsim.Sampling.Warm ->
             Memsim.Hierarchy.Batch.warm_range b i events ~pos:!p ~len:c
           | Memsim.Sampling.Drop -> ());
@@ -394,20 +388,21 @@ let measure_pool ?sampling machine kernel ~n t ~plans =
         done
       done
   in
-  let feed_prefetch i v =
+  let measure_one i bucket v =
+    let slack = Memsim.Hierarchy.Batch.replay_one b i v in
+    match observe with Some obs -> obs bucket v slack | None -> ()
+  in
+  let feed_prefetch i bucket v =
     match samplers with
-    | None -> Memsim.Hierarchy.Batch.replay_one b i v
+    | None -> measure_one i bucket v
     | Some ss -> (
       match Memsim.Sampling.take ss.(i) 1 with
-      | Memsim.Sampling.Measure, _ -> Memsim.Hierarchy.Batch.replay_one b i v
+      | Memsim.Sampling.Measure, _ -> measure_one i bucket v
       | Memsim.Sampling.Warm, _ -> Memsim.Hierarchy.Batch.warm_one b i v
       | Memsim.Sampling.Drop, _ -> ())
   in
-  (* Exact replay re-feeds the full stream on the warmed state (the
-     historical semantics); sampled replay measures only the post-cut
-     suffix and scales back up by the suffix fraction, mirroring
-     [Executor.replay_measured]. *)
   let suffix = samplers <> None && t.cut_events >= 0 in
+  let iters = ref 0 in
   let prev = ref (if suffix then t.cut_events else 0) in
   let pos = ref (if suffix then t.cut_marks else 0) in
   while !pos < n_marks do
@@ -415,35 +410,41 @@ let measure_pool ?sampling machine kernel ~n t ~plans =
     let epos = marks.(!pos + 1) in
     if epos > !prev then feed_demand !prev epos;
     prev := epos;
+    incr iters;
     for i = 0 to k - 1 do
       let ems = emits.(i).(id) in
       for e = 0 to Array.length ems - 1 do
-        let base, terms, _ = ems.(e) in
+        let base, terms, bucket = ems.(e) in
         let v = ref base in
         for j = 0 to Array.length terms - 1 do
           let field, coeff = terms.(j) in
           v := !v + (coeff * marks.(!pos + 2 + field))
         done;
-        feed_prefetch i !v
+        feed_prefetch i bucket !v
       done
     done;
     pos := !pos + t.mark_width.(id)
   done;
   if n_events > !prev then feed_demand !prev n_events;
   Memsim.Hierarchy.Batch.sync b;
-  let per = (Unix_time.now () -. t0) /. float_of_int (max 1 k) in
-  Array.init k (fun i ->
-      let counters = Memsim.Hierarchy.counters hs.(i) in
-      (match samplers with
-      | Some ss ->
-        Memsim.Counters.extrapolate counters
-          (Memsim.Sampling.factor ss.(i)
+  let factors =
+    match samplers with
+    | None -> Array.make k 1.0
+    | Some ss ->
+      Array.init k (fun i ->
+          Memsim.Sampling.factor ss.(i)
           *. Executor.suffix_factor
                ~warm:(if suffix then warm_counts.(i) else 0)
                ~fed:(Memsim.Sampling.fed ss.(i)))
-      | None -> ());
-      Executor.finish machine kernel ~n ~counters ~stats:t.stats
-        ~timings:(timings_of ~sim_s:per))
+  in
+  (hs, factors, !iters)
+
+(* A walked plan's measurement: its counters scaled by its factor. *)
+let finish machine kernel ~n t ~sim_s h factor =
+  let counters = Memsim.Hierarchy.counters h in
+  Memsim.Counters.extrapolate counters factor;
+  Executor.finish machine kernel ~n ~counters ~stats:t.stats
+    ~timings:(timings_of ~sim_s)
 
 (* The shared-decode walk keeps all K plans' simulated cache state hot
    at once; past ~16 plans the tag/ready arrays outgrow the host's own
@@ -455,16 +456,26 @@ let measure_pool ?sampling machine kernel ~n t ~plans =
 let max_pool = 16
 
 let measure_plans ?sampling machine kernel ~n t ~plans =
+  let pool plans =
+    let t0 = Unix_time.now () in
+    let emits = Array.map (fun plan -> emit_table t ~plan ~track:[]) plans in
+    let hs, factors, _ = measure_pool ?sampling machine t ~emits in
+    let sim_s =
+      (Unix_time.now () -. t0) /. float_of_int (max 1 (Array.length plans))
+    in
+    Array.mapi
+      (fun i h -> finish machine kernel ~n t ~sim_s h factors.(i))
+      hs
+  in
   let k = Array.length plans in
-  if k <= max_pool then measure_pool ?sampling machine kernel ~n t ~plans
+  if k <= max_pool then pool plans
   else
     Array.concat
       (List.init
          ((k + max_pool - 1) / max_pool)
          (fun c ->
            let pos = c * max_pool in
-           measure_pool ?sampling machine kernel ~n t
-             ~plans:(Array.sub plans pos (min max_pool (k - pos)))))
+           pool (Array.sub plans pos (min max_pool (k - pos)))))
 
 (* --- Incremental prefetch re-simulation -----------------------------
 
@@ -474,7 +485,7 @@ let measure_plans ?sampling machine kernel ~n t ~plans =
    the base plan once while observing, for each varying array's
    prefetch emissions, the timeliness slack of the prefetched line's
    first demand use (how many cycles early the line arrived; negative =
-   the stall paid; [Hierarchy.replay_event_slack]), bucketed per
+   the stall paid; [Hierarchy.Batch.replay_one]), bucketed per
    varying array.  A sibling at distance [d0 + dd] on some array issues
    that array's prefetches [dd] innermost iterations earlier, so each
    of its slacks shifts by [dd * cycles-per-iteration] while the other
@@ -533,36 +544,26 @@ let reprice_group ?sampling machine kernel ~n t ~plans =
     let k = Array.length plans in
     let nb = List.length vary in
     let track = List.mapi (fun b a -> (a, b)) vary in
-    let emits = [| emit_table t ~plan:plans.(0) ~track |] in
-    (* The pooled slot is safe to share with the sibling re-measurement
-       below: [m0]'s counters are snapshotted by [finish] before
-       [measure_plans] resets the slot. *)
-    let h = (Executor.pooled_hierarchies machine 1).(0) in
-    let hs = [| h |] in
-    let batch = Memsim.Hierarchy.Batch.create hs in
-    let events = t.events and marks = t.marks in
-    let n_events = Array.length events and n_marks = Array.length marks in
-    let warm_counts =
-      warm_walk
-        ?cap:(Option.map Memsim.Sampling.prefix_cap sampling)
-        t batch emits
+    (* The L1 line of a packed event (the pending-table key), by the
+       shift [Memsim.Cache] uses: line sizes are powers of two. *)
+    let l1_line_shift =
+      let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
+      log2 (List.hd machine.Machine.caches).Machine.line_bytes
     in
-    let sampler =
-      match sampling with
-      | None -> None
-      | Some sp -> Some (Memsim.Sampling.sampler sp)
-    in
-    let l1 = Memsim.Hierarchy.cache h 0 in
+    let line_of v = (v lsr 2) lsr l1_line_shift in
     (* Pending tracked lines (line -> slack bucket) and the per-bucket
        first-use outcomes: timely slacks, plus a count of matched first
        uses (timely or wasted). *)
     let pending = Hashtbl.create 64 in
     let slacks = Array.make nb [] in
     let matched = Array.make nb 0 in
-    let demand_slack_event v =
-      let s = Memsim.Hierarchy.replay_event_slack h v in
-      if Hashtbl.length pending > 0 && v land 3 <> Ir.Sink.tag_prefetch then begin
-        let line = Memsim.Cache.line_of_addr l1 (v lsr 2) in
+    let observe bucket v s =
+      if v land 3 = Ir.Sink.tag_prefetch then begin
+        if bucket >= 0 && s <> Memsim.Hierarchy.no_slack then
+          Hashtbl.replace pending (line_of v) bucket
+      end
+      else if Hashtbl.length pending > 0 then begin
+        let line = line_of v in
         match Hashtbl.find_opt pending line with
         | Some bkt ->
           Hashtbl.remove pending line;
@@ -574,96 +575,28 @@ let reprice_group ?sampling machine kernel ~n t ~plans =
         | None -> ()
       end
     in
-    let feed_demand prev epos =
-      match sampler with
-      | None ->
-        for i = prev to epos - 1 do
-          demand_slack_event (Array.unsafe_get events i)
-        done
-      | Some s ->
-        let p = ref prev in
-        let remaining = ref (epos - prev) in
-        while !remaining > 0 do
-          let action, c = Memsim.Sampling.take s !remaining in
-          (match action with
-          | Memsim.Sampling.Measure ->
-            for i = !p to !p + c - 1 do
-              demand_slack_event (Array.unsafe_get events i)
-            done
-          | Memsim.Sampling.Warm ->
-            Memsim.Hierarchy.warm_packed h events ~pos:!p ~len:c
-          | Memsim.Sampling.Drop -> ());
-          p := !p + c;
-          remaining := !remaining - c
-        done
+    let hs, factors, n_iter =
+      measure_pool ?sampling ~observe machine t
+        ~emits:[| emit_table t ~plan:plans.(0) ~track |]
     in
-    let track_prefetch bkt v =
-      let issued = Memsim.Hierarchy.replay_event_slack h v in
-      if issued <> Memsim.Hierarchy.no_slack then
-        Hashtbl.replace pending (Memsim.Cache.line_of_addr l1 (v lsr 2)) bkt
-    in
-    let feed_prefetch bkt v =
-      match sampler with
-      | None ->
-        if bkt >= 0 then track_prefetch bkt v
-        else Memsim.Hierarchy.replay_event h v
-      | Some s -> (
-        match Memsim.Sampling.take s 1 with
-        | Memsim.Sampling.Measure, _ ->
-          if bkt >= 0 then track_prefetch bkt v
-          else Memsim.Hierarchy.replay_event h v
-        | Memsim.Sampling.Warm, _ -> Memsim.Hierarchy.warm_event h v
-        | Memsim.Sampling.Drop, _ -> ())
-    in
-    let suffix = sampler <> None && t.cut_events >= 0 in
-    let n_iter = ref 0 in
-    let prev = ref (if suffix then t.cut_events else 0) in
-    let pos = ref (if suffix then t.cut_marks else 0) in
-    while !pos < n_marks do
-      let id = marks.(!pos) in
-      let epos = marks.(!pos + 1) in
-      if epos > !prev then feed_demand !prev epos;
-      prev := epos;
-      incr n_iter;
-      let ems = emits.(0).(id) in
-      for e = 0 to Array.length ems - 1 do
-        let base, terms, tracked = ems.(e) in
-        let v = ref base in
-        for j = 0 to Array.length terms - 1 do
-          let field, coeff = terms.(j) in
-          v := !v + (coeff * marks.(!pos + 2 + field))
-        done;
-        feed_prefetch tracked !v
-      done;
-      pos := !pos + t.mark_width.(id)
-    done;
-    if n_events > !prev then feed_demand !prev n_events;
     let n_matched = Array.fold_left ( + ) 0 matched in
     if n_matched = 0 then None
     else begin
-      let counters = Memsim.Hierarchy.counters h in
+      let counters = Memsim.Hierarchy.counters hs.(0) in
       let raw_cycles =
         float_of_int (Memsim.Counters.accesses counters + counters.Memsim.Counters.stall_cycles)
       in
-      let factor =
-        match sampler with
-        | Some s ->
-          Memsim.Sampling.factor s
-          *. Executor.suffix_factor
-               ~warm:(if suffix then warm_counts.(0) else 0)
-               ~fed:(Memsim.Sampling.fed s)
-        | None -> 1.0
-      in
-      if factor <> 1.0 then Memsim.Counters.extrapolate counters factor;
-      let sim_s = Unix_time.now () -. t0 in
+      let factor = factors.(0) in
+      (* The pooled slot is safe to share with the sibling
+         re-measurement below: [m0]'s counters are snapshotted by
+         [finish] before [measure_plans] resets the slot. *)
       let m0 =
-        Executor.finish machine kernel ~n ~counters ~stats:t.stats
-          ~timings:(timings_of ~sim_s)
+        finish machine kernel ~n t ~sim_s:(Unix_time.now () -. t0) hs.(0) factor
       in
       (* Cycles per innermost iteration, in raw (unextrapolated)
          counter units — the shift one unit of prefetch distance
          applies to every slack. *)
-      let c_iter = raw_cycles /. float_of_int (max 1 !n_iter) in
+      let c_iter = raw_cycles /. float_of_int (max 1 n_iter) in
       let stall_at bkt dd =
         List.fold_left
           (fun acc s ->

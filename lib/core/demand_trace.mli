@@ -43,11 +43,6 @@ val words : t -> int
     ([-1] when the captured mode needs none). *)
 val synthesize : t -> plan:(string * int) list -> into:Ir.Vm.Buf.t -> int
 
-(** Number of innermost-loop iteration records in the captured trace —
-    the granularity at which one unit of prefetch distance shifts an
-    emission. *)
-val iterations : t -> int
-
 (** [measure_plans machine kernel ~n t ~plans] measures every prefetch
     plan of a sweep group in ONE walk over the captured trace: shared
     demand segments are replayed through all K hierarchies per pass

@@ -205,15 +205,13 @@ type t = {
   mutable db_ctx : string;
   mutable db_hits : int;
   mutable warm_starts : int;
-  (* Batched / sampled / incremental replay (the three evaluator tiers
-     of DESIGN.md section 12).  [sampling] turns fast-path measurements
-     into sampled estimates; [batch_replay] lets [evaluate_batch]
-     collapse a sweep group sharing one demand trace into one
-     multi-plan walk; [incremental] additionally re-prices
-     distance-only siblings from the base plan's prefetch-timeliness
+  (* Sampled / incremental replay (two of the three evaluator tiers of
+     DESIGN.md section 12; the third, batched replay, is always on for
+     the fast path).  [sampling] turns fast-path measurements into
+     sampled estimates; [incremental] re-prices distance-only siblings
+     of a sweep group from the base plan's prefetch-timeliness
      slacks. *)
   mutable sampling : Memsim.Sampling.t option;
-  mutable batch_replay : bool;
   mutable incremental : bool;
   mutable sampled : int;
   mutable batched_groups : int;
@@ -299,7 +297,6 @@ let create ?(jobs = 1) ?(path = Executor.Fast) ?(faults = Faults.none)
     db_hits = 0;
     warm_starts = 0;
     sampling = None;
-    batch_replay = true;
     incremental = false;
     sampled = 0;
     batched_groups = 0;
@@ -325,11 +322,8 @@ let prefilter t = t.prefilter
    triage does. *)
 let default_prefilter = 4
 
-let set_objective t o = t.objective <- o
 let sampling t = t.sampling
 let set_sampling t sp = t.sampling <- sp
-let batch_replay t = t.batch_replay
-let set_batch_replay t b = t.batch_replay <- b
 let incremental t = t.incremental
 let set_incremental t b = t.incremental <- b
 
@@ -356,9 +350,6 @@ let record_rank_sample t ~kernel ~pairs ~inversions =
 (* Sampling applies to fast-path measurements only: the closure path is
    the exact differential reference and ignores it. *)
 let engine_sampling t = if t.path = Executor.Fast then t.sampling else None
-
-let set_prefilter t k =
-  t.prefilter <- (match k with Some k when k >= 1 -> Some k | _ -> None)
 
 let stats t =
   {
@@ -575,6 +566,29 @@ let db_degraded t = t.db_degraded
 
 (* The database to warm-start from, when transfer seeding is enabled. *)
 let warm_db t = if t.db_warm then t.db else None
+
+(* Everything in the engine's configuration that shapes an answer,
+   plus the tuned problem.  The string keys persisted checkpoints, so
+   its format is frozen: [batch=on] stays a literal from when batched
+   replay could be switched off. *)
+let run_tag t ~(kernel : Kernels.Kernel.t) ~n ~budget =
+  Printf.sprintf
+    "tune|m=%s|k=%s|n=%d|b=%d|path=%s|faults=%s|trials=%d|retries=%d|obj=%s|pf=%s|db=%s|sample=%s|batch=on|incr=%s|confirm=%s"
+    t.machine.Machine.name kernel.Kernels.Kernel.name n budget
+    (match t.path with Executor.Fast -> "fast" | Executor.Closures -> "closures")
+    (Faults.to_spec t.faults) t.protocol.trials t.protocol.max_retries
+    (Objective.to_string t.objective)
+    (match t.prefilter with Some k -> string_of_int k | None -> "off")
+    (match t.db with
+    | None -> "off"
+    | Some _ -> if t.db_warm then "warm" else "exact")
+    (match t.sampling with
+    | Some sp -> Memsim.Sampling.to_string sp
+    | None -> "off")
+    (if t.incremental then "on" else "off")
+    (match t.confirm_override with
+    | Some k -> string_of_int k
+    | None -> "adaptive")
 
 let note_warm_start t ?log () =
   t.warm_starts <- t.warm_starts + 1;
@@ -1439,10 +1453,10 @@ let note_confirm_skipped t ?log () =
   match log with Some log -> Search_log.note_confirm_skipped log | None -> ()
 
 (* Does the engine collapse sweep groups into batched multi-plan
-   replays?  On the fast path whenever batched replay is on: a group
-   walk yields clean measurements, and every member then runs through
-   the same [protect] post-pass as an ungrouped candidate. *)
-let grouping_capable t = t.batch_replay && t.path = Executor.Fast
+   replays?  Always on the fast path: a group walk yields clean
+   measurements, and every member then runs through the same [protect]
+   post-pass as an ungrouped candidate. *)
+let grouping_capable t = t.path = Executor.Fast
 
 (* One batched sweep group: [members] share one demand-trace key.  All
    plans are measured in a single multi-plan walk over the captured

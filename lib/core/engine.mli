@@ -106,7 +106,15 @@ val default_protocol : protocol
 
     [objective] (default [Objective.Cycles]) is what pre-filter ranking
     minimizes; [prefilter] (default off; values < 1 disable) arms the
-    two-stage batch evaluation described at {!set_prefilter}. *)
+    analytical pre-filter: each {!evaluate_batch} ranks its fresh
+    feasible candidates with {!Predict} under the engine's objective
+    and simulates only the top-k.  Skipped candidates return [None],
+    are counted in {!stats} ([prefiltered]) and via
+    {!Search_log.note_prefiltered}, and are {e not} memoized, so a
+    later request can still measure them.  Memoization, the fault
+    protocol and checkpointing are unaffected — and the skipped set is
+    a pure function of the batch, so results stay bit-identical at any
+    [jobs]. *)
 val create :
   ?jobs:int ->
   ?path:Executor.path ->
@@ -132,26 +140,12 @@ val prefilter : t -> int option
     {!Eco}'s triage width. *)
 val default_prefilter : int
 
-val set_objective : t -> Objective.t -> unit
-
-(** Arm (or, with [None] / values < 1, disarm) the analytical
-    pre-filter: each {!evaluate_batch} ranks its fresh feasible
-    candidates with {!Predict} under the engine's objective and
-    simulates only the top-k.  Skipped candidates return [None], are
-    counted in {!stats} ([prefiltered]) and via
-    {!Search_log.note_prefiltered}, and are {e not} memoized, so a
-    later request can still measure them.  Memoization, the fault
-    protocol and checkpointing are unaffected — and the skipped set is
-    a pure function of the batch, so results stay bit-identical at any
-    [jobs]. *)
-val set_prefilter : t -> int option -> unit
-
 (** {2 Batched, sampled and incremental replay}
 
     Three evaluator tiers stacked on the fast path (DESIGN.md, "Three
     replay tiers"):
 
-    - {b Batched multi-plan replay} (on by default): within an
+    - {b Batched multi-plan replay} (always on the fast path): within an
       {!evaluate_batch}, prefetch candidates that share one captured
       demand trace (a distance sweep over one variant point) are
       measured in ONE walk over the trace
@@ -186,12 +180,11 @@ val set_prefilter : t -> int option -> unit
     injected fast-path crash is measured on its own.  Batching is
     pricing, never extra work: it changes no candidate set, so without
     incremental repricing the fresh counts, the search log and the
-    answer are those of the unbatched engine. *)
+    answer are those of the per-candidate reference — a [Closures]
+    engine, or singleton {!evaluate} calls. *)
 
 val sampling : t -> Memsim.Sampling.t option
 val set_sampling : t -> Memsim.Sampling.t option -> unit
-val batch_replay : t -> bool
-val set_batch_replay : t -> bool -> unit
 val incremental : t -> bool
 val set_incremental : t -> bool -> unit
 
@@ -402,9 +395,18 @@ type resume = {
 (** [set_checkpoint t ~tag file] arms periodic checkpointing: the engine
     rewrites [file] after every [every] (default 16) fresh evaluations.
     [tag] should encode everything that determines the run's answer
-    (machine, kernel, n, budget, path, faults, protocol); it is embedded
-    in the file and verified on load. *)
+    ({!run_tag}); it is embedded in the file and verified on load. *)
 val set_checkpoint : t -> ?every:int -> tag:string -> string -> unit
+
+(** [run_tag t ~kernel ~n ~budget] is the checkpoint tag of tuning
+    [kernel] at size [n] under a [budget]-flop measurement on this
+    engine: the tuned problem plus every configuration knob that shapes
+    the answer (machine, path, fault plan, trials and retries,
+    objective, pre-filter, database mode, sampling, incremental
+    repricing, confirm override).  [eco tune --checkpoint] and the
+    daemon's sessions both key their checkpoints by it.  The format is
+    persisted and frozen. *)
+val run_tag : t -> kernel:Kernels.Kernel.t -> n:int -> budget:int -> string
 
 (** Write a checkpoint immediately (no-op unless {!set_checkpoint} was
     called) — e.g. once more after the search completes. *)

@@ -60,20 +60,6 @@ let kernels =
     ("wavefront", Kernels.Wavefront.kernel);
   ]
 
-(* Mirrors [eco tune]'s checkpoint tag for the service's fixed knobs
-   (fast path, no measurement faults, default protocol), so a daemon
-   checkpoint is verified against exactly the configuration that must
-   reproduce its answer. *)
-let session_tag cfg ~kernel ~n ~machine ~budget ~objective ~prefilter =
-  Printf.sprintf
-    "tune|m=%s|k=%s|n=%d|b=%d|path=fast|faults=none|trials=1|retries=2|obj=%s|pf=%s|db=%s|sample=off|batch=on|incr=off|confirm=adaptive"
-    machine.Machine.name kernel n budget
-    (Objective.to_string objective)
-    (match prefilter with Some k -> string_of_int k | None -> "off")
-    (match cfg.db_file with
-    | None -> "off"
-    | Some _ -> if cfg.warm_start then "warm" else "exact")
-
 (* ---------- requests and sessions ---------- *)
 
 type request = {
@@ -543,10 +529,7 @@ and create_session d ~rpc_id ~recovered req =
   let sid = d.next_sid in
   d.next_sid <- sid + 1;
   let engine = engine_for d req in
-  let tag =
-    session_tag d.cfg ~kernel:req.kernel_name ~n:req.n ~machine:req.rmachine
-      ~budget:req.budget ~objective:req.objective ~prefilter:req.prefilter
-  in
+  let tag = Engine.run_tag engine ~kernel:req.kernel ~n:req.n ~budget:req.budget in
   let base =
     Filename.concat d.cfg.checkpoint_dir
       ("session-" ^ Digest.to_hex (Digest.string tag))

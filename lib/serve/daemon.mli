@@ -81,16 +81,3 @@ val default_config : config
     {!Faults.Service.kill_after} instant (simulated SIGKILL: no
     cleanup, no final checkpoint). *)
 val run : ?ic:in_channel -> ?oc:out_channel -> config -> int
-
-(** The run tag of a service session — identical in shape to [eco
-    tune]'s checkpoint tag, so daemon checkpoints verify against the
-    configuration that must reproduce the answer.  Exposed for tests. *)
-val session_tag :
-  config ->
-  kernel:string ->
-  n:int ->
-  machine:Machine.t ->
-  budget:int ->
-  objective:Core.Objective.t ->
-  prefilter:int option ->
-  string

@@ -272,13 +272,9 @@ let test_checkpoint_kill_resume_equivalence () =
 let benign () = Faults.make ~seed:7 ~transient:0.05 ~hang:0.02 ()
 let three_trials = { Core.Engine.default_protocol with trials = 3 }
 
-let prefilter_engine ~batch () =
-  let e =
-    Core.Engine.create ~faults:(benign ()) ~protocol:three_trials
-      ~prefilter:Core.Engine.default_prefilter sgi
-  in
-  Core.Engine.set_batch_replay e batch;
-  e
+let prefilter_engine path =
+  Core.Engine.create ~path ~faults:(benign ()) ~protocol:three_trials
+    ~prefilter:Core.Engine.default_prefilter sgi
 
 let protocol_tele e =
   let s = Core.Engine.stats e in
@@ -289,9 +285,11 @@ let protocol_tele e =
     s.Core.Engine.early_stops,
     s.Core.Engine.vm_fallbacks )
 
+(* The ungrouped side is the reference closure interpreter, which
+   measures every candidate on its own under the same protocol. *)
 let test_protocol_on_groups_matches_ungrouped () =
-  let grouped = prefilter_engine ~batch:true () in
-  let ungrouped = prefilter_engine ~batch:false () in
+  let grouped = prefilter_engine Core.Executor.Fast in
+  let ungrouped = prefilter_engine Core.Executor.Closures in
   let a = ck_tune grouped and b = ck_tune ungrouped in
   Alcotest.(check bool) "sweep groups were walked" true
     ((Core.Engine.stats grouped).Core.Engine.batched_groups > 0);
@@ -303,32 +301,35 @@ let test_protocol_on_groups_matches_ungrouped () =
 
 (* A distance sweep at one point is one sweep group; an injected
    fast-path crash on some of its members must take only those members
-   out of the group, each degraded to the reference interpreter. *)
+   out of the group, each degraded to the reference interpreter.  The
+   ungrouped side evaluates the same sweep one candidate at a time. *)
 let test_crash_splits_one_member () =
   let v = variant () in
   let faults = Faults.make ~seed:3 ~crash:0.3 () in
-  let sweep ~batch faults =
+  let sweep ~grouped faults =
     let e = Core.Engine.create ~faults sgi in
-    Core.Engine.set_batch_replay e batch;
     let bindings = some_point e v ~n:32 in
+    let reqs =
+      List.map
+        (fun d ->
+          Core.Engine.request v ~n:32 ~mode:fast ~bindings
+            ~prefetch:[ ("a", d) ])
+        [ 1; 2; 4; 8; 16; 32 ]
+    in
+    let evs =
+      if grouped then Core.Engine.evaluate_batch e reqs
+      else List.map (Core.Engine.evaluate e) reqs
+    in
     let cycles =
       List.map
-        (fun ev ->
-          Option.map
-            (fun ev -> Core.Executor.cycles ev.Core.Engine.measurement)
-            ev)
-        (Core.Engine.evaluate_batch e
-           (List.map
-              (fun d ->
-                Core.Engine.request v ~n:32 ~mode:fast ~bindings
-                  ~prefetch:[ ("a", d) ])
-              [ 1; 2; 4; 8; 16; 32 ]))
+        (Option.map (fun ev -> Core.Executor.cycles ev.Core.Engine.measurement))
+        evs
     in
     (cycles, Core.Engine.stats e)
   in
-  let clean, _ = sweep ~batch:true Faults.none in
-  let grouped, gs = sweep ~batch:true faults in
-  let ungrouped, us = sweep ~batch:false faults in
+  let clean, _ = sweep ~grouped:true Faults.none in
+  let grouped, gs = sweep ~grouped:true faults in
+  let ungrouped, us = sweep ~grouped:false faults in
   let crashed = gs.Core.Engine.vm_fallbacks in
   Alcotest.(check bool) "some but not all members crashed" true
     (crashed > 0 && crashed < 6);
@@ -367,6 +368,34 @@ let test_protocol_kill_resume_grouped () =
   Alcotest.(check bool) "resumed answer = uninterrupted answer" true
     (answer resumed = answer uninterrupted);
   Sys.remove file
+
+(* [eco tune --checkpoint] keys its file by the [Engine.run_tag] of the
+   engine its flags configured.  The tag is persisted, so its format is
+   pinned here with every tag-relevant flag set ([-m sun -k matvec -n 32
+   -b 20000 --objective energy --prefilter 3 --closures --faults
+   seed=5,transient=0.1 --trials 3 --retries 1 --db F --no-warm-start
+   --sample shrink=4,window=2048 --incremental --confirm 2]). *)
+let test_run_tag_every_flag () =
+  let file = Filename.temp_file "eco_tag" ".db" in
+  Sys.remove file;
+  let e =
+    Core.Engine.create ~path:Core.Executor.Closures
+      ~faults:(Faults.of_spec "seed=5,transient=0.1")
+      ~protocol:
+        { Core.Engine.default_protocol with trials = 3; max_retries = 1 }
+      ~objective:Core.Objective.Energy ~prefilter:3 Machine.ultrasparc_iie
+  in
+  Core.Engine.set_sampling e
+    (Some (Memsim.Sampling.parse "shrink=4,window=2048"));
+  Core.Engine.set_incremental e true;
+  Core.Engine.set_confirm_override e (Some 2);
+  let db = Perfdb.load file in
+  Core.Engine.set_db e ~warm_start:false db;
+  Alcotest.(check string) "pinned tag"
+    "tune|m=Sun UltraSparc IIe|k=matvec|n=32|b=20000|path=closures|faults=seed=5,transient=0.1|trials=3|retries=1|obj=energy|pf=3|db=exact|sample=shrink=4,window=2048,gap=28672,warm=2048|batch=on|incr=on|confirm=2"
+    (Core.Engine.run_tag e ~kernel:Kernels.Matvec.kernel ~n:32 ~budget:20_000);
+  Perfdb.close db;
+  try Sys.remove file with Sys_error _ -> ()
 
 let test_checkpoint_tag_mismatch_refuses () =
   let file = Filename.temp_file "eco_ck" ".bin" in
@@ -419,6 +448,8 @@ let suite =
       test_crash_splits_one_member;
     Alcotest.test_case "checkpoint: kill/resume with grouped protocol" `Quick
       test_protocol_kill_resume_grouped;
+    Alcotest.test_case "checkpoint: run tag pinned (every flag)" `Quick
+      test_run_tag_every_flag;
     Alcotest.test_case "checkpoint: tag mismatch refused" `Quick
       test_checkpoint_tag_mismatch_refuses;
     Alcotest.test_case "checkpoint: corrupt file ignored" `Quick

@@ -69,7 +69,7 @@ let test_batch_mixed_feed_matches_packed () =
   Memsim.Hierarchy.Batch.replay_all b events ~pos:0 ~len:cutA;
   for i = 0 to k - 1 do
     for e = cutA to cutB - 1 do
-      Memsim.Hierarchy.Batch.replay_one b i events.(e)
+      ignore (Memsim.Hierarchy.Batch.replay_one b i events.(e))
     done
   done;
   for i = 0 to k - 1 do
@@ -85,14 +85,62 @@ let test_batch_mixed_feed_matches_packed () =
       (Memsim.Hierarchy.counters solo)
   done
 
-let test_replay_event_matches_packed () =
-  let events = synthetic_events 5_000 in
-  let a = Memsim.Hierarchy.create sgi in
-  let b = Memsim.Hierarchy.create sgi in
-  Memsim.Hierarchy.replay_packed a events ~pos:0 ~len:(Array.length events);
-  Array.iter (Memsim.Hierarchy.replay_event b) events;
-  check_counters "event-at-a-time counters identical"
-    (Memsim.Hierarchy.counters a) (Memsim.Hierarchy.counters b)
+(* [Batch.replay_one]'s slack is the timing the repricer observes: on
+   a demand hit it is non-negative exactly when the line's fill was
+   already ready (no stall charged beyond any TLB refill), and
+   otherwise the negated stall; a demand miss reports [no_slack]; a
+   prefetch reports 0 when issued, [no_slack] when dropped.  The stream
+   plants prefetches followed by demand uses of the same line at short
+   and long range, so both the early and the late case occur. *)
+let test_replay_one_slack () =
+  let background = synthetic_events 6_000 in
+  let events =
+    Array.concat
+      (List.init 300 (fun j ->
+           let addr = 400_000 + (j * 64) in
+           let pf = (addr lsl 2) lor Ir.Sink.tag_prefetch in
+           let use = (addr lsl 2) lor Ir.Sink.tag_load in
+           let gap = Array.sub background (j * 20) (if j mod 2 = 0 then 0 else 20) in
+           Array.concat [ [| pf |]; gap; [| use |] ]))
+  in
+  let h = Memsim.Hierarchy.create sgi in
+  let b = Memsim.Hierarchy.Batch.create [| h |] in
+  let c = Memsim.Hierarchy.counters h in
+  let tlb_cycles = sgi.Machine.tlb.Machine.miss_cycles in
+  let ready = ref 0 and late = ref 0 in
+  Array.iter
+    (fun v ->
+      Memsim.Hierarchy.Batch.sync b;
+      let hits = c.Memsim.Counters.hits.(0)
+      and misses = c.Memsim.Counters.misses.(0)
+      and stall = c.Memsim.Counters.stall_cycles
+      and refills = c.Memsim.Counters.tlb_misses in
+      let s = Memsim.Hierarchy.Batch.replay_one b 0 v in
+      Memsim.Hierarchy.Batch.sync b;
+      if v land 3 = Ir.Sink.tag_prefetch then
+        Alcotest.(check bool) "prefetch slack is 0 or no_slack" true
+          (s = 0 || s = Memsim.Hierarchy.no_slack)
+      else if s = Memsim.Hierarchy.no_slack then
+        Alcotest.(check int) "no_slack on a demand miss" (misses + 1)
+          c.Memsim.Counters.misses.(0)
+      else begin
+        Alcotest.(check int) "slack on a demand hit" (hits + 1)
+          c.Memsim.Counters.hits.(0);
+        let fill_stall =
+          c.Memsim.Counters.stall_cycles - stall
+          - ((c.Memsim.Counters.tlb_misses - refills) * tlb_cycles)
+        in
+        Alcotest.(check bool) "slack >= 0 exactly when the fill was ready"
+          (fill_stall = 0) (s >= 0);
+        if s >= 0 then incr ready
+        else begin
+          incr late;
+          Alcotest.(check int) "negative slack = stall paid" (-s) fill_stall
+        end
+      end)
+    events;
+  Alcotest.(check bool) "ready and late hits both observed" true
+    (!ready > 0 && !late > 0)
 
 let test_warm_variants_agree () =
   (* Warm with each of the three entry points, then replay the same
@@ -108,14 +156,15 @@ let test_warm_variants_agree () =
   let a = Memsim.Hierarchy.create sgi in
   Memsim.Hierarchy.warm_packed a events ~pos:0 ~len:cut;
   let b = Memsim.Hierarchy.create sgi in
+  let bb = Memsim.Hierarchy.Batch.create [| b |] in
   for i = 0 to cut - 1 do
-    Memsim.Hierarchy.warm_event b events.(i)
+    Memsim.Hierarchy.Batch.warm_one bb 0 events.(i)
   done;
   let c = Memsim.Hierarchy.create sgi in
   let bc = Memsim.Hierarchy.Batch.create [| c |] in
   Memsim.Hierarchy.Batch.warm_all bc events ~pos:0 ~len:cut;
   let ca = tail a in
-  check_counters "warm_event ≡ warm_packed" ca (tail b);
+  check_counters "Batch.warm_one ≡ warm_packed" ca (tail b);
   check_counters "Batch.warm_all ≡ warm_packed" ca (tail c)
 
 (* --- the sampling state machine --------------------------------------- *)
@@ -598,21 +647,20 @@ let test_trace_lru_eviction () =
 
 (* --- engine/search level guarantees ----------------------------------- *)
 
-let optimize ?sampling ?(batch = true) ?(incremental = false) ?(jobs = 1) () =
+let optimize ?sampling ?(incremental = false) ?(jobs = 1) () =
   let engine = Core.Engine.create ~jobs sgi in
   Core.Engine.set_sampling engine sampling;
-  Core.Engine.set_batch_replay engine batch;
   Core.Engine.set_incremental engine incremental;
   let r = Core.Eco.optimize_with ~mode:fast engine Matmul.kernel ~n:48 in
   (r, Core.Engine.stats engine)
 
-(* Batching is pricing, never extra work: an exact, unfiltered tune
-   submits the same candidates with batched replay on or off, so the
-   fresh count, every logged point and the answer all agree — on every
-   kernel. *)
-let tune_trail ~batch kernel =
-  let engine = Core.Engine.create sgi in
-  Core.Engine.set_batch_replay engine batch;
+(* Batching is pricing, never extra work: an exact, unfiltered tune on
+   the default fast path (batched sweep replay, demand-trace reuse)
+   submits the same candidates as the reference closure interpreter,
+   which measures every candidate on its own, so the fresh count, every
+   logged point and the answer all agree — on every kernel. *)
+let tune_trail path kernel =
+  let engine = Core.Engine.create ~path sgi in
   let r = Core.Eco.optimize_with ~mode:fast engine kernel ~n:48 in
   let o = r.Core.Eco.outcome in
   ( (Core.Engine.stats engine).Core.Engine.fresh,
@@ -622,12 +670,12 @@ let tune_trail ~batch kernel =
       o.Core.Search.prefetch,
       Core.Executor.cycles r.Core.Eco.measurement ) )
 
-let test_batching_off_bit_identical () =
+let test_closures_tune_bit_identical () =
   List.iter
     (fun (k : Kernels.Kernel.t) ->
       let name = k.Kernels.Kernel.name in
-      let f0, p0, a0 = tune_trail ~batch:true k
-      and f1, p1, a1 = tune_trail ~batch:false k in
+      let f0, p0, a0 = tune_trail Core.Executor.Fast k
+      and f1, p1, a1 = tune_trail Core.Executor.Closures k in
       Alcotest.(check int) (name ^ ": same fresh count") f0 f1;
       Alcotest.(check bool) (name ^ ": same points") true (p0 = p1);
       Alcotest.(check bool) (name ^ ": same answer") true (a0 = a1))
@@ -679,8 +727,8 @@ let suite =
       test_replay_many_matches_packed;
     Alcotest.test_case "Batch mixed feeds ≡ replay_packed" `Quick
       test_batch_mixed_feed_matches_packed;
-    Alcotest.test_case "replay_event ≡ replay_packed" `Quick
-      test_replay_event_matches_packed;
+    Alcotest.test_case "Batch.replay_one slack ≡ fill readiness" `Quick
+      test_replay_one_slack;
     Alcotest.test_case "warm entry points agree" `Quick test_warm_variants_agree;
     Alcotest.test_case "sampler schedule" `Quick test_sampler_schedule;
     Alcotest.test_case "sampler chunking invariant" `Quick
@@ -709,8 +757,8 @@ let suite =
     Alcotest.test_case "jacobi3d thrash group re-prices" `Quick
       test_jacobi3d_thrash_group_reprices;
     Alcotest.test_case "demand-trace LRU eviction" `Slow test_trace_lru_eviction;
-    Alcotest.test_case "batching off is bit-identical" `Slow
-      test_batching_off_bit_identical;
+    Alcotest.test_case "closures tune is bit-identical" `Slow
+      test_closures_tune_bit_identical;
     Alcotest.test_case "sampled search jobs-deterministic" `Slow
       test_sampled_search_jobs_deterministic;
     Alcotest.test_case "sampled search winner is exact" `Slow

@@ -375,6 +375,33 @@ let test_daemon_cancel_and_shutdown () =
     (Some "shutdown")
     (sfield "code" (error_of ~id:4 out))
 
+(* A session's checkpoint file is named by the digest of its run tag
+   ([Engine.run_tag] of the session's engine), and the tag is a
+   persisted recovery key, so the default configuration's tag is pinned
+   through the checkpoint a partial result advertises (a one-cycle
+   budget stops the session after its first batch). *)
+let test_daemon_run_tag_pinned () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ())
+    (fun () ->
+      let cfg = { Daemon.default_config with Daemon.checkpoint_dir = dir } in
+      let out =
+        run_daemon_in_dir ~cfg
+          [
+            "{\"id\":1,\"method\":\"tune\",\"params\":{\"kernel\":\"matmul\",\
+             \"n\":96,\"budget\":200000,\"cycle_budget\":1}}";
+          ]
+      in
+      let tag =
+        "tune|m=SGI R10000|k=matmul|n=96|b=200000|path=fast|faults=none|trials=1|retries=2|obj=cycles|pf=off|db=off|sample=off|batch=on|incr=off|confirm=adaptive"
+      in
+      Alcotest.(check (option string)) "checkpoint keyed by the pinned tag"
+        (Some
+           (Filename.concat dir
+              ("session-" ^ Digest.to_hex (Digest.string tag) ^ ".ck")))
+        (sfield "checkpoint" (result_of ~id:1 out)))
+
 let test_daemon_watchdog_quarantine () =
   let cfg =
     {
@@ -514,6 +541,8 @@ let suite =
       test_daemon_deadline_and_resume;
     Alcotest.test_case "daemon: cancel + shutdown" `Quick
       test_daemon_cancel_and_shutdown;
+    Alcotest.test_case "daemon: run tag pinned" `Quick
+      test_daemon_run_tag_pinned;
     Alcotest.test_case "daemon: watchdog quarantine" `Quick
       test_daemon_watchdog_quarantine;
     Alcotest.test_case "daemon: client disconnect" `Quick
