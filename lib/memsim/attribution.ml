@@ -40,11 +40,10 @@ let access t addr =
   let r = region_of t addr in
   r.r_accesses <- r.r_accesses + 1;
   let line = Cache.line_of_addr t.cache addr in
-  match Cache.lookup t.cache ~now:0 ~line with
-  | Cache.Hit _ -> ()
-  | Cache.Miss ->
+  if Cache.access t.cache ~line ~write:false = Cache.absent then begin
     r.r_misses <- r.r_misses + 1;
     ignore (Cache.insert t.cache ~now:0 ~ready:0 ~dirty:false ~line)
+  end
 
 let sink t =
   {

@@ -11,8 +11,6 @@ type t = {
   mutable tick : int;
 }
 
-type lookup = Hit of int | Miss
-
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
 let log2 n =
@@ -46,21 +44,6 @@ let assoc c = c.assoc
 let line_bytes c = c.line_bytes
 let line_of_addr c addr = addr lsr c.line_shift
 
-let lookup c ~now:_ ~line =
-  let base = (line land c.set_mask) * c.assoc in
-  let rec go way =
-    if way >= c.assoc then Miss
-    else
-      let i = base + way in
-      if Array.unsafe_get c.tags i = line then begin
-        c.tick <- c.tick + 1;
-        Array.unsafe_set c.stamps i c.tick;
-        Hit (Array.unsafe_get c.fills i)
-      end
-      else go (way + 1)
-  in
-  go 0
-
 let insert c ~now:_ ~ready ~dirty ~line =
   let base = (line land c.set_mask) * c.assoc in
   (* The first invalid way wins outright (any invalid way is as good as
@@ -90,78 +73,35 @@ let insert c ~now:_ ~ready ~dirty ~line =
   c.dirty.(i) <- dirty;
   evicted_dirty
 
-let set_dirty c ~line =
-  (* A line occupies at most one way ([insert] only runs on a miss), so
-     stop at the first match. *)
+(* Index of [line]'s way among [tags.(i .. stop-1)], or -1.  A line
+   occupies at most one way ([insert] only runs on a miss), so the first
+   match is the only one. *)
+let rec find_way (tags : int array) ~(line : int) i stop =
+  if i >= stop then -1
+  else if Array.unsafe_get tags i = line then i
+  else find_way tags ~line (i + 1) stop
+
+let way c ~line =
   let base = (line land c.set_mask) * c.assoc in
-  let rec go way =
-    if way < c.assoc then
-      let i = base + way in
-      if c.tags.(i) = line then c.dirty.(i) <- true else go (way + 1)
-  in
-  go 0
+  find_way c.tags ~line base (base + c.assoc)
+
+let set_dirty c ~line =
+  let i = way c ~line in
+  if i >= 0 then c.dirty.(i) <- true
 
 let absent = min_int
 
 let access c ~line ~write =
-  (* Fused probe for the batched-replay fast path: [lookup] plus the
-     dirty marking a demand write performs on a hit, without the
-     [lookup] variant allocation.  Returns the fill cycle, or {!absent}
-     on a miss (the caller services and inserts, making the trailing
-     [set_dirty] of the hit path unnecessary there). *)
-  if c.assoc = 1 then begin
-    let i = line land c.set_mask in
-    if Array.unsafe_get c.tags i = line then begin
-      c.tick <- c.tick + 1;
-      Array.unsafe_set c.stamps i c.tick;
-      if write then Array.unsafe_set c.dirty i true;
-      Array.unsafe_get c.fills i
-    end
-    else absent
-  end
-  else if c.assoc = 2 then begin
-    (* Two-way caches (both levels of the R10000 model) probe with two
-       straight-line compares. *)
-    let i = (line land c.set_mask) * 2 in
-    if Array.unsafe_get c.tags i = line then begin
-      c.tick <- c.tick + 1;
-      Array.unsafe_set c.stamps i c.tick;
-      if write then Array.unsafe_set c.dirty i true;
-      Array.unsafe_get c.fills i
-    end
-    else
-      let i = i + 1 in
-      if Array.unsafe_get c.tags i = line then begin
-        c.tick <- c.tick + 1;
-        Array.unsafe_set c.stamps i c.tick;
-        if write then Array.unsafe_set c.dirty i true;
-        Array.unsafe_get c.fills i
-      end
-      else absent
-  end
+  let i = way c ~line in
+  if i < 0 then absent
   else begin
-    let base = (line land c.set_mask) * c.assoc in
-    let rec go way =
-      if way >= c.assoc then absent
-      else
-        let i = base + way in
-        if Array.unsafe_get c.tags i = line then begin
-          c.tick <- c.tick + 1;
-          Array.unsafe_set c.stamps i c.tick;
-          if write then Array.unsafe_set c.dirty i true;
-          Array.unsafe_get c.fills i
-        end
-        else go (way + 1)
-    in
-    go 0
+    c.tick <- c.tick + 1;
+    Array.unsafe_set c.stamps i c.tick;
+    if write then Array.unsafe_set c.dirty i true;
+    Array.unsafe_get c.fills i
   end
 
-let resident c ~line =
-  let base = (line land c.set_mask) * c.assoc in
-  let rec go way =
-    way < c.assoc && (c.tags.(base + way) = line || go (way + 1))
-  in
-  go 0
+let resident c ~line = way c ~line >= 0
 
 let reset c =
   Array.fill c.tags 0 (Array.length c.tags) (-1);

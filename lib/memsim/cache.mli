@@ -2,9 +2,23 @@
     write-back/write-allocate, and per-line fill times used to model
     in-flight software prefetches. *)
 
-type t
-
-type lookup = Hit of int  (** cycle at which the line's data is ready *) | Miss
+(** The fields are exposed for {!Hierarchy}'s replay kernel, which
+    probes the L1 and records a hit (LRU tick, stamp, dirty bit) in
+    place rather than through an out-of-line call; everything else goes
+    through the functions below, and nothing outside this module
+    creates, resizes or evicts. *)
+type t = {
+  sets : int;
+  assoc : int;
+  line_bytes : int;
+  line_shift : int;  (** [log2 line_bytes] *)
+  set_mask : int;  (** [sets - 1] *)
+  tags : int array;  (** [sets * assoc] ways, set-major; [-1] = invalid *)
+  stamps : int array;  (** LRU stamp per way: larger = more recent *)
+  fills : int array;  (** cycle at which the way's data arrives *)
+  dirty : bool array;
+  mutable tick : int;  (** LRU clock: bumped and stamped on every hit and insert *)
+}
 
 val create : Machine.cache -> t
 
@@ -17,10 +31,6 @@ val line_bytes : t -> int
 (** Line number of a byte address at this level's line size. *)
 val line_of_addr : t -> int -> int
 
-(** [lookup c ~now ~line] probes for [line]; on a hit the LRU state is
-    updated.  Does not allocate on miss. *)
-val lookup : t -> now:int -> line:int -> lookup
-
 (** [insert c ~now ~ready ~dirty ~line] allocates [line], evicting the
     LRU way.  Returns [true] when a dirty line was evicted (write-back
     traffic).  [ready] is the cycle at which the fill completes. *)
@@ -32,14 +42,19 @@ val set_dirty : t -> line:int -> unit
 (** Sentinel returned by {!access} on a miss. *)
 val absent : int
 
-(** [access c ~line ~write] fuses {!lookup} with the dirty marking a
-    demand write performs on a hit: on a hit, updates LRU state, marks
-    the line dirty when [write], and returns the fill cycle; on a miss,
-    returns {!absent} and changes nothing (the caller is expected to
-    {!insert} with the right dirty bit).  Equivalent to
-    [lookup]-then-[set_dirty] but allocation-free, with a single-probe
-    path for direct-mapped caches. *)
+(** [access c ~line ~write] probes for [line].  On a hit it updates
+    LRU state, marks the line dirty when [write], and returns the cycle
+    at which the line's data is ready; on a miss it returns {!absent}
+    and changes nothing (the caller is expected to {!insert} with the
+    right dirty bit).  [~write:false] is the plain read probe.  Does not
+    allocate. *)
 val access : t -> line:int -> write:bool -> int
+
+(** [find_way tags ~line i stop] is the index of [line] among the ways
+    [tags.(i .. stop-1)] of one set, or [-1].  The replay kernel probes
+    ways 0 and 1 inline and calls this for the rest.  Does not
+    allocate. *)
+val find_way : int array -> line:int -> int -> int -> int
 
 (** [resident c ~line] is true when the line is present (no LRU update). *)
 val resident : t -> line:int -> bool

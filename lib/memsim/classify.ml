@@ -27,11 +27,10 @@ let create (g : Machine.cache) =
 let access t addr =
   t.accesses <- t.accesses + 1;
   let line = Cache.line_of_addr t.real addr in
-  (match Cache.lookup t.real ~now:0 ~line with
-  | Cache.Hit _ -> ()
-  | Cache.Miss ->
+  if Cache.access t.real ~line ~write:false = Cache.absent then begin
     t.real_misses <- t.real_misses + 1;
-    ignore (Cache.insert t.real ~now:0 ~ready:0 ~dirty:false ~line));
+    ignore (Cache.insert t.real ~now:0 ~ready:0 ~dirty:false ~line)
+  end;
   Reuse_distance.access t.rd addr
 
 let sink t =

@@ -41,11 +41,12 @@ let rec service t ~level ~now ~addr ~dirty =
   else
     let cache = t.caches.(level) in
     let line = Cache.line_of_addr cache addr in
-    match Cache.lookup cache ~now ~line with
-    | Cache.Hit ready ->
+    let ready = Cache.access cache ~line ~write:false in
+    if ready <> Cache.absent then begin
       count_hit t level;
       t.hit_cycles.(level) + max 0 (ready - now)
-    | Cache.Miss ->
+    end
+    else begin
       count_miss t level;
       let below = service t ~level:(level + 1) ~now ~addr ~dirty:false in
       let latency = t.hit_cycles.(level) + below in
@@ -59,6 +60,7 @@ let rec service t ~level ~now ~addr ~dirty =
           Cache.set_dirty t.caches.(level + 1) ~line:(Cache.line_of_addr t.caches.(level + 1) addr)
       end;
       latency
+    end
 
 let translate t ~addr =
   let page = Tlb.page_of_addr t.tlb addr in
@@ -76,12 +78,13 @@ let demand t ~addr ~write =
   let now = now t in
   let l1 = t.caches.(0) in
   let line = Cache.line_of_addr l1 addr in
-  (match Cache.lookup l1 ~now ~line with
-  | Cache.Hit ready ->
+  let ready = Cache.access l1 ~line ~write:false in
+  if ready <> Cache.absent then begin
     count_hit t 0;
     if ready > now then
       c.Counters.stall_cycles <- c.Counters.stall_cycles + (ready - now)
-  | Cache.Miss ->
+  end
+  else begin
     count_miss t 0;
     let below = service t ~level:1 ~now ~addr ~dirty:false in
     c.Counters.stall_cycles <- c.Counters.stall_cycles + below;
@@ -90,7 +93,8 @@ let demand t ~addr ~write =
       c.Counters.writebacks <- c.Counters.writebacks + 1;
       if Array.length t.caches > 1 then
         Cache.set_dirty t.caches.(1) ~line:(Cache.line_of_addr t.caches.(1) addr)
-    end);
+    end
+  end;
   if write then Cache.set_dirty l1 ~line
 
 let load t addr = demand t ~addr ~write:false
@@ -111,9 +115,7 @@ let prefetch t addr =
     let now = now t in
     let l1 = t.caches.(0) in
     let line = Cache.line_of_addr l1 addr in
-    match Cache.lookup l1 ~now ~line with
-    | Cache.Hit _ -> ()
-    | Cache.Miss ->
+    if Cache.access l1 ~line ~write:false = Cache.absent then begin
       count_miss t 0;
       let below = service t ~level:1 ~now ~addr ~dirty:false in
       c.Counters.prefetch_hidden_cycles <-
@@ -127,86 +129,10 @@ let prefetch t addr =
           Cache.set_dirty t.caches.(1)
             ~line:(Cache.line_of_addr t.caches.(1) addr)
       end
+    end
   end
 
-(* Batched replay of a packed event buffer ([Ir.Sink.pack] encoding):
-   one tight loop over [buf.(pos .. pos+len-1)] with the per-access
-   closure dispatch, variant allocations and redundant L1 re-probes of
-   [sink]-driven simulation removed.  Counter and cache evolution is
-   identical to feeding the same events through {!load}/{!store}/
-   {!prefetch} (the [memsim] test suite checks this): the only
-   structural difference is skipping the trailing [Cache.set_dirty] on
-   a demand-write miss, where [insert ~dirty:true] has already marked
-   the line. *)
-let replay_packed t buf ~pos ~len =
-  let c = t.counters in
-  let l1 = t.caches.(0) in
-  let tlb = t.tlb in
-  let multi = Array.length t.caches > 1 in
-  let tlb_miss_cycles = t.machine.Machine.tlb.Machine.miss_cycles in
-  for k = pos to pos + len - 1 do
-    let v = Array.unsafe_get buf k in
-    let addr = v lsr 2 in
-    let tag = v land 3 in
-    if tag <> Ir.Sink.tag_prefetch then begin
-      let write = tag = Ir.Sink.tag_store in
-      if write then c.Counters.stores <- c.Counters.stores + 1
-      else c.Counters.loads <- c.Counters.loads + 1;
-      let page = Tlb.page_of_addr tlb addr in
-      if not (Tlb.access tlb ~page) then begin
-        c.Counters.tlb_misses <- c.Counters.tlb_misses + 1;
-        c.Counters.stall_cycles <- c.Counters.stall_cycles + tlb_miss_cycles
-      end;
-      let now = c.Counters.loads + c.Counters.stores + c.Counters.stall_cycles in
-      let line = Cache.line_of_addr l1 addr in
-      let fill = Cache.access l1 ~line ~write in
-      if fill <> Cache.absent then begin
-        count_hit t 0;
-        if fill > now then
-          c.Counters.stall_cycles <- c.Counters.stall_cycles + (fill - now)
-      end
-      else begin
-        count_miss t 0;
-        let below = service t ~level:1 ~now ~addr ~dirty:false in
-        c.Counters.stall_cycles <- c.Counters.stall_cycles + below;
-        let evicted_dirty = Cache.insert l1 ~now ~ready:now ~dirty:write ~line in
-        if evicted_dirty then begin
-          c.Counters.writebacks <- c.Counters.writebacks + 1;
-          if multi then
-            Cache.set_dirty t.caches.(1)
-              ~line:(Cache.line_of_addr t.caches.(1) addr)
-        end
-      end
-    end
-    else begin
-      c.Counters.loads <- c.Counters.loads + 1;
-      c.Counters.prefetches <- c.Counters.prefetches + 1;
-      let page = Tlb.page_of_addr tlb addr in
-      if Tlb.probe tlb ~page then begin
-        let now =
-          c.Counters.loads + c.Counters.stores + c.Counters.stall_cycles
-        in
-        let line = Cache.line_of_addr l1 addr in
-        if Cache.access l1 ~line ~write:false = Cache.absent then begin
-          count_miss t 0;
-          let below = service t ~level:1 ~now ~addr ~dirty:false in
-          c.Counters.prefetch_hidden_cycles <-
-            c.Counters.prefetch_hidden_cycles + below;
-          let evicted_dirty =
-            Cache.insert l1 ~now ~ready:(now + below) ~dirty:false ~line
-          in
-          if evicted_dirty then begin
-            c.Counters.writebacks <- c.Counters.writebacks + 1;
-            if multi then
-              Cache.set_dirty t.caches.(1)
-                ~line:(Cache.line_of_addr t.caches.(1) addr)
-          end
-        end
-      end
-    end
-  done
-
-(* State-only service for the warm-up pass: same lookup/insert/dirty
+(* State-only service for the warm-up pass: same probe/insert/dirty
    sequence as {!service} (so LRU ticks and residency evolve
    identically), no latency arithmetic or counters.  Fill times are
    arbitrary here because [reset_counters] settles them before anything
@@ -215,9 +141,7 @@ let rec warm_service t ~level ~addr =
   if level < Array.length t.caches then begin
     let cache = t.caches.(level) in
     let line = Cache.line_of_addr cache addr in
-    match Cache.lookup cache ~now:0 ~line with
-    | Cache.Hit _ -> ()
-    | Cache.Miss ->
+    if Cache.access cache ~line ~write:false = Cache.absent then begin
       warm_service t ~level:(level + 1) ~addr;
       let evicted_dirty =
         Cache.insert cache ~now:0 ~ready:0 ~dirty:false ~line
@@ -225,46 +149,204 @@ let rec warm_service t ~level ~addr =
       if evicted_dirty && level + 1 < Array.length t.caches then
         Cache.set_dirty t.caches.(level + 1)
           ~line:(Cache.line_of_addr t.caches.(level + 1) addr)
+    end
   end
+
+(* --- The replay kernel ------------------------------------------------
+
+   [replay_packed], [warm_packed] and the [Batch] loops simulate packed
+   event buffers ([Ir.Sink.pack] encoding), each in one loop whose
+   counter and cache evolution is identical to feeding the same events
+   through {!load}/{!store}/{!prefetch} (the test suites compare every
+   counter).  The only structural difference is skipping the trailing
+   [Cache.set_dirty] on a demand-write miss, where [insert ~dirty:true]
+   has already marked the line.  What keeps an event cheap:
+   - its line, page and L1 set are shifts and masks of fields read once
+     per call;
+   - the TLB is called only when the page is neither its MRU page nor
+     in its home slot;
+   - L1 ways 0 and 1 are probed inline and ways >= 2 through
+     [Cache.find_way], so one kernel serves every associativity;
+   - an L1 hit updates the LRU tick, stamp and dirty bit in place;
+   - the miss paths are top-level functions that allocate nothing.
+   The memsim library is compiled without cross-module inlining, so
+   every call into [Cache] or [Tlb] is a real call: the hit path makes
+   none. *)
+
+(* A TLB hit settled without a call: [page] is the MRU page, or sits in
+   its home slot of the key table (kept at most quarter-full and hashed
+   by identity, so a resident page nearly always does).  A hit changes
+   no TLB state but the MRU hint, which only has to name some resident
+   page, so skipping [Tlb.access] on a hit is exact. *)
+let[@inline] tlb_resident (keys : int array) ~mask ~mru page =
+  page = mru || Array.unsafe_get keys (page land mask) = page
+
+(* The way holding [line] in the L1 set that starts at [base], or -1. *)
+let[@inline] l1_way (tags : int array) ~assoc base (line : int) =
+  if Array.unsafe_get tags base = line then base
+  else if assoc < 2 then -1
+  else if Array.unsafe_get tags (base + 1) = line then base + 1
+  else if assoc = 2 then -1
+  else Cache.find_way tags ~line (base + 2) (base + assoc)
+
+(* An L1 hit on way [w], exactly as [Cache.access] records it: bump the
+   LRU clock, stamp the way, mark it dirty on a write.  Returns the
+   cycle the way's data is ready. *)
+let[@inline] l1_hit (l1 : Cache.t) ~(stamps : int array) ~(fills : int array)
+    ~(dirty : bool array) w ~write =
+  let tick = l1.Cache.tick + 1 in
+  l1.Cache.tick <- tick;
+  Array.unsafe_set stamps w tick;
+  if write then Array.unsafe_set dirty w true;
+  Array.unsafe_get fills w
+
+(* Install [line] in L1 after a miss; a dirty victim is a writeback,
+   propagated to L2 when the line is resident there. *)
+let install_l1 t ~now ~ready ~dirty ~addr ~line =
+  if Cache.insert t.caches.(0) ~now ~ready ~dirty ~line then begin
+    t.counters.Counters.writebacks <- t.counters.Counters.writebacks + 1;
+    if Array.length t.caches > 1 then
+      Cache.set_dirty t.caches.(1) ~line:(Cache.line_of_addr t.caches.(1) addr)
+  end
+
+(* A demand L1 miss: service it from below and install the line (dirty
+   on a store).  Returns the stall cycles it costs. *)
+let demand_miss t ~now ~addr ~write ~line =
+  count_miss t 0;
+  let below = service t ~level:1 ~now ~addr ~dirty:false in
+  install_l1 t ~now ~ready:now ~dirty:write ~addr ~line;
+  below
+
+(* A prefetch L1 miss: the latency is hidden, the line arrives later. *)
+let prefetch_miss t ~now ~addr ~line =
+  count_miss t 0;
+  let below = service t ~level:1 ~now ~addr ~dirty:false in
+  t.counters.Counters.prefetch_hidden_cycles <-
+    t.counters.Counters.prefetch_hidden_cycles + below;
+  install_l1 t ~now ~ready:(now + below) ~dirty:false ~addr ~line
+
+(* A warm-up L1 miss: the same inserts, no accounting. *)
+let warm_miss t ~addr ~write ~line =
+  warm_service t ~level:1 ~addr;
+  if
+    Cache.insert t.caches.(0) ~now:0 ~ready:0 ~dirty:write ~line
+    && Array.length t.caches > 1
+  then
+    Cache.set_dirty t.caches.(1) ~line:(Cache.line_of_addr t.caches.(1) addr)
+
+(* The hot counters (loads, stores, stall cycles, L1 hits, prefetches)
+   and the TLB's MRU page live in locals for the whole call; the
+   counters are written back on return.  The local MRU page is the
+   latest demand page, always resident: a TLB miss installs the page it
+   missed on. *)
+let replay_packed t buf ~pos ~len =
+  let c = t.counters in
+  let l1 = t.caches.(0) and tlb = t.tlb in
+  let line_shift = l1.Cache.line_shift
+  and set_mask = l1.Cache.set_mask
+  and assoc = l1.Cache.assoc
+  and tags = l1.Cache.tags
+  and stamps = l1.Cache.stamps
+  and fills = l1.Cache.fills
+  and dirty = l1.Cache.dirty
+  and page_shift = tlb.Tlb.page_shift
+  and tlb_keys = tlb.Tlb.keys
+  and tlb_mask = tlb.Tlb.mask
+  and tlb_miss_cycles = t.machine.Machine.tlb.Machine.miss_cycles
+  and tag_prefetch = Ir.Sink.tag_prefetch
+  and tag_store = Ir.Sink.tag_store in
+  let loads = ref c.Counters.loads
+  and stores = ref c.Counters.stores
+  and stall = ref c.Counters.stall_cycles
+  and hit0 = ref c.Counters.hits.(0)
+  and prefs = ref c.Counters.prefetches
+  and mru = ref tlb.Tlb.last_page in
+  for e = pos to pos + len - 1 do
+    let v = Array.unsafe_get buf e in
+    let addr = v lsr 2 and tag = v land 3 in
+    let line = addr lsr line_shift and page = addr lsr page_shift in
+    let base = (line land set_mask) * assoc in
+    if tag <> tag_prefetch then begin
+      let write = tag = tag_store in
+      if write then incr stores else incr loads;
+      if
+        not
+          (tlb_resident tlb_keys ~mask:tlb_mask ~mru:!mru page
+          || Tlb.access tlb ~page)
+      then begin
+        c.Counters.tlb_misses <- c.Counters.tlb_misses + 1;
+        stall := !stall + tlb_miss_cycles
+      end;
+      mru := page;
+      let now = !loads + !stores + !stall in
+      let w = l1_way tags ~assoc base line in
+      if w >= 0 then begin
+        incr hit0;
+        let fill = l1_hit l1 ~stamps ~fills ~dirty w ~write in
+        if fill > now then stall := !stall + (fill - now)
+      end
+      else stall := !stall + demand_miss t ~now ~addr ~write ~line
+    end
+    else begin
+      incr loads;
+      incr prefs;
+      if
+        tlb_resident tlb_keys ~mask:tlb_mask ~mru:!mru page
+        || Tlb.probe tlb ~page
+      then begin
+        let w = l1_way tags ~assoc base line in
+        if w >= 0 then ignore (l1_hit l1 ~stamps ~fills ~dirty w ~write:false)
+        else prefetch_miss t ~now:(!loads + !stores + !stall) ~addr ~line
+      end
+    end
+  done;
+  c.Counters.loads <- !loads;
+  c.Counters.stores <- !stores;
+  c.Counters.stall_cycles <- !stall;
+  c.Counters.hits.(0) <- !hit0;
+  c.Counters.prefetches <- !prefs
 
 (* Replay that evolves cache/TLB state but keeps no accounting: the
    warm-up prefix of a sampled measurement, whose counters are thrown
    away by the [reset_counters] that follows.  Performs exactly the
    probe/insert sequence of {!replay_packed} (residency, LRU and dirty
-   state end up identical — the [vm] differential suite checks the
-   measured pass downstream), skipping the stall/latency bookkeeping,
-   which is most of the per-event work on the hit path. *)
+   state end up identical), skipping the stall/latency bookkeeping. *)
 let warm_packed t buf ~pos ~len =
-  let l1 = t.caches.(0) in
-  let tlb = t.tlb in
-  let multi = Array.length t.caches > 1 in
-  for k = pos to pos + len - 1 do
-    let v = Array.unsafe_get buf k in
-    let addr = v lsr 2 in
-    let tag = v land 3 in
-    if tag <> Ir.Sink.tag_prefetch then begin
-      let write = tag = Ir.Sink.tag_store in
-      ignore (Tlb.access tlb ~page:(Tlb.page_of_addr tlb addr));
-      let line = Cache.line_of_addr l1 addr in
-      if Cache.access l1 ~line ~write = Cache.absent then begin
-        warm_service t ~level:1 ~addr;
-        let evicted_dirty = Cache.insert l1 ~now:0 ~ready:0 ~dirty:write ~line in
-        if evicted_dirty && multi then
-          Cache.set_dirty t.caches.(1)
-            ~line:(Cache.line_of_addr t.caches.(1) addr)
-      end
+  let l1 = t.caches.(0) and tlb = t.tlb in
+  let line_shift = l1.Cache.line_shift
+  and set_mask = l1.Cache.set_mask
+  and assoc = l1.Cache.assoc
+  and tags = l1.Cache.tags
+  and stamps = l1.Cache.stamps
+  and fills = l1.Cache.fills
+  and dirty = l1.Cache.dirty
+  and page_shift = tlb.Tlb.page_shift
+  and tlb_keys = tlb.Tlb.keys
+  and tlb_mask = tlb.Tlb.mask
+  and tag_prefetch = Ir.Sink.tag_prefetch
+  and tag_store = Ir.Sink.tag_store in
+  let mru = ref tlb.Tlb.last_page in
+  for e = pos to pos + len - 1 do
+    let v = Array.unsafe_get buf e in
+    let addr = v lsr 2 and tag = v land 3 in
+    let line = addr lsr line_shift and page = addr lsr page_shift in
+    let base = (line land set_mask) * assoc in
+    if tag <> tag_prefetch then begin
+      let write = tag = tag_store in
+      if not (tlb_resident tlb_keys ~mask:tlb_mask ~mru:!mru page) then
+        ignore (Tlb.access tlb ~page);
+      mru := page;
+      let w = l1_way tags ~assoc base line in
+      if w >= 0 then ignore (l1_hit l1 ~stamps ~fills ~dirty w ~write)
+      else warm_miss t ~addr ~write ~line
     end
-    else if Tlb.probe tlb ~page:(Tlb.page_of_addr tlb addr) then begin
-      let line = Cache.line_of_addr l1 addr in
-      if Cache.access l1 ~line ~write:false = Cache.absent then begin
-        warm_service t ~level:1 ~addr;
-        let evicted_dirty =
-          Cache.insert l1 ~now:0 ~ready:0 ~dirty:false ~line
-        in
-        if evicted_dirty && multi then
-          Cache.set_dirty t.caches.(1)
-            ~line:(Cache.line_of_addr t.caches.(1) addr)
-      end
+    else if
+      tlb_resident tlb_keys ~mask:tlb_mask ~mru:!mru page
+      || Tlb.probe tlb ~page
+    then begin
+      let w = l1_way tags ~assoc base line in
+      if w >= 0 then ignore (l1_hit l1 ~stamps ~fills ~dirty w ~write:false)
+      else warm_miss t ~addr ~write:false ~line
     end
   done
 
@@ -280,11 +362,12 @@ let no_slack = min_int
    counters (loads / stores / stall / L1 hits / prefetches — the ones
    every event updates) into flat int arrays indexed by plan, so the
    K-plan inner loop is a strided walk over five contiguous arrays with
-   the decoded event, line and page number computed once per event.
-   Cold counters (level misses, TLB misses, writebacks,
-   prefetch-hidden cycles and the level >= 1 hit/miss tallies of
-   {!service}) stay in the per-plan {!Counters.t} records and are only
-   touched out of line on the miss paths.
+   the decoded event, line, page and L1 set computed once per event.
+   Each plan's step is the kernel above: the inline TLB check (MRU
+   page, then home slot), the inline ways-0/1 probe, the in-place hit,
+   and the shared miss paths, which update the cold counters (level
+   misses, TLB misses, writebacks, prefetch-hidden cycles) in the
+   per-plan {!Counters.t} records.
 
    Invariant: per plan, the arithmetic is a verbatim transliteration of
    one {!replay_packed} iteration over the same event sequence, so
@@ -307,7 +390,10 @@ module Batch = struct
     b_hit0 : int array;
     b_prefs : int array;
     tlb_miss_cycles : int;
-    multi : bool;
+    line_shift : int;
+    page_shift : int;
+    set_mask : int;
+    assoc : int;
   }
 
   let create hs =
@@ -315,15 +401,18 @@ module Batch = struct
     if k = 0 then invalid_arg "Hierarchy.Batch.create: empty batch";
     let l1s = Array.map (fun t -> t.caches.(0)) hs in
     let tlbs = Array.map (fun t -> t.tlb) hs in
-    (* The shared once-per-event line/page decode requires uniform
-       geometry across the pool. *)
-    Array.iter
-      (fun t ->
+    let l1 = l1s.(0) and tlb = tlbs.(0) in
+    (* The shared once-per-event line, page and set decode requires
+       uniform L1 and TLB geometry across the pool. *)
+    Array.iteri
+      (fun i (c : Cache.t) ->
         if
-          Cache.line_bytes t.caches.(0) <> Cache.line_bytes hs.(0).caches.(0)
-          || Tlb.page_bytes t.tlb <> Tlb.page_bytes hs.(0).tlb
+          c.Cache.line_shift <> l1.Cache.line_shift
+          || c.Cache.sets <> l1.Cache.sets
+          || c.Cache.assoc <> l1.Cache.assoc
+          || tlbs.(i).Tlb.page_shift <> tlb.Tlb.page_shift
         then invalid_arg "Hierarchy.Batch.create: mixed machine geometry")
-      hs;
+      l1s;
     {
       hs;
       k;
@@ -335,7 +424,10 @@ module Batch = struct
       b_hit0 = Array.map (fun t -> t.counters.Counters.hits.(0)) hs;
       b_prefs = Array.map (fun t -> t.counters.Counters.prefetches) hs;
       tlb_miss_cycles = hs.(0).machine.Machine.tlb.Machine.miss_cycles;
-      multi = Array.length hs.(0).caches > 1;
+      line_shift = l1.Cache.line_shift;
+      page_shift = tlb.Tlb.page_shift;
+      set_mask = l1.Cache.set_mask;
+      assoc = l1.Cache.assoc;
     }
 
   let size b = b.k
@@ -362,108 +454,115 @@ module Batch = struct
     Array.fill b.b_hit0 0 b.k 0;
     Array.fill b.b_prefs 0 b.k 0
 
-  (* Cold paths, out of line so the hot loops stay small. *)
-
   let tlb_refill b i =
     let t = Array.unsafe_get b.hs i in
     t.counters.Counters.tlb_misses <- t.counters.Counters.tlb_misses + 1;
     Array.unsafe_set b.b_stall i
       (Array.unsafe_get b.b_stall i + b.tlb_miss_cycles)
 
-  let demand_miss b i ~now ~addr ~write ~line =
-    let t = Array.unsafe_get b.hs i in
-    count_miss t 0;
-    let below = service t ~level:1 ~now ~addr ~dirty:false in
-    Array.unsafe_set b.b_stall i (Array.unsafe_get b.b_stall i + below);
-    let evicted_dirty =
-      Cache.insert (Array.unsafe_get b.l1s i) ~now ~ready:now ~dirty:write ~line
+  (* Plan [i]'s step for one decoded event; [base] is the L1 set's
+     first way.  A demand step returns the slack {!replay_one}
+     documents. *)
+  let[@inline] demand b i ~addr ~line ~page ~base ~write =
+    let loads = b.b_loads and stores = b.b_stores and stall = b.b_stall in
+    (if write then Array.unsafe_set stores i (Array.unsafe_get stores i + 1)
+     else Array.unsafe_set loads i (Array.unsafe_get loads i + 1));
+    let tlb = Array.unsafe_get b.tlbs i in
+    if
+      not
+        (tlb_resident tlb.Tlb.keys ~mask:tlb.Tlb.mask ~mru:tlb.Tlb.last_page page
+        || Tlb.access tlb ~page)
+    then tlb_refill b i;
+    let now =
+      Array.unsafe_get loads i + Array.unsafe_get stores i
+      + Array.unsafe_get stall i
     in
-    if evicted_dirty then begin
-      t.counters.Counters.writebacks <- t.counters.Counters.writebacks + 1;
-      if b.multi then
-        Cache.set_dirty t.caches.(1) ~line:(Cache.line_of_addr t.caches.(1) addr)
+    let l1 = Array.unsafe_get b.l1s i in
+    let w = l1_way l1.Cache.tags ~assoc:b.assoc base line in
+    if w >= 0 then begin
+      Array.unsafe_set b.b_hit0 i (Array.unsafe_get b.b_hit0 i + 1);
+      let fill =
+        l1_hit l1 ~stamps:l1.Cache.stamps ~fills:l1.Cache.fills
+          ~dirty:l1.Cache.dirty w ~write
+      in
+      if fill > now then
+        Array.unsafe_set stall i (Array.unsafe_get stall i + (fill - now));
+      now - fill
+    end
+    else begin
+      Array.unsafe_set stall i
+        (Array.unsafe_get stall i
+        + demand_miss (Array.unsafe_get b.hs i) ~now ~addr ~write ~line);
+      no_slack
     end
 
-  let prefetch_miss b i ~now ~addr ~line =
-    let t = Array.unsafe_get b.hs i in
-    count_miss t 0;
-    let below = service t ~level:1 ~now ~addr ~dirty:false in
-    t.counters.Counters.prefetch_hidden_cycles <-
-      t.counters.Counters.prefetch_hidden_cycles + below;
-    let evicted_dirty =
-      Cache.insert
-        (Array.unsafe_get b.l1s i)
-        ~now ~ready:(now + below) ~dirty:false ~line
+  let[@inline] prefetch b i ~addr ~line ~page ~base =
+    let loads = b.b_loads in
+    Array.unsafe_set loads i (Array.unsafe_get loads i + 1);
+    Array.unsafe_set b.b_prefs i (Array.unsafe_get b.b_prefs i + 1);
+    let tlb = Array.unsafe_get b.tlbs i in
+    if
+      tlb_resident tlb.Tlb.keys ~mask:tlb.Tlb.mask ~mru:tlb.Tlb.last_page page
+      || Tlb.probe tlb ~page
+    then begin
+      let l1 = Array.unsafe_get b.l1s i in
+      let w = l1_way l1.Cache.tags ~assoc:b.assoc base line in
+      if w >= 0 then
+        ignore
+          (l1_hit l1 ~stamps:l1.Cache.stamps ~fills:l1.Cache.fills
+             ~dirty:l1.Cache.dirty w ~write:false)
+      else
+        prefetch_miss (Array.unsafe_get b.hs i)
+          ~now:
+            (Array.unsafe_get loads i
+            + Array.unsafe_get b.b_stores i
+            + Array.unsafe_get b.b_stall i)
+          ~addr ~line;
+      0
+    end
+    else no_slack
+
+  let[@inline] warm b i ~addr ~line ~page ~base ~prefetch ~write =
+    let tlb = Array.unsafe_get b.tlbs i in
+    let mapped =
+      tlb_resident tlb.Tlb.keys ~mask:tlb.Tlb.mask ~mru:tlb.Tlb.last_page page
+      || if prefetch then Tlb.probe tlb ~page else (ignore (Tlb.access tlb ~page); true)
     in
-    if evicted_dirty then begin
-      t.counters.Counters.writebacks <- t.counters.Counters.writebacks + 1;
-      if b.multi then
-        Cache.set_dirty t.caches.(1) ~line:(Cache.line_of_addr t.caches.(1) addr)
+    if mapped then begin
+      let l1 = Array.unsafe_get b.l1s i in
+      let w = l1_way l1.Cache.tags ~assoc:b.assoc base line in
+      if w >= 0 then
+        ignore
+          (l1_hit l1 ~stamps:l1.Cache.stamps ~fills:l1.Cache.fills
+             ~dirty:l1.Cache.dirty w ~write)
+      else warm_miss (Array.unsafe_get b.hs i) ~addr ~write ~line
     end
 
-  let warm_miss b i ~addr ~write ~line =
-    let t = Array.unsafe_get b.hs i in
-    warm_service t ~level:1 ~addr;
-    let evicted_dirty =
-      Cache.insert (Array.unsafe_get b.l1s i) ~now:0 ~ready:0 ~dirty:write ~line
-    in
-    if evicted_dirty && b.multi then
-      Cache.set_dirty t.caches.(1) ~line:(Cache.line_of_addr t.caches.(1) addr)
-
-  (* One shared event run through every plan: decode, line and page
-     once; then a branch-light, allocation-free walk over the K plans'
-     flat counters. *)
+  (* One shared event run through every plan: decode the event, its
+     line, page and set once; then walk the K plans' flat counters. *)
   let replay_all b buf ~pos ~len =
-    let k = b.k in
-    let loads = b.b_loads
-    and stores = b.b_stores
-    and stall = b.b_stall
-    and hit0 = b.b_hit0 in
-    let l1s = b.l1s and tlbs = b.tlbs in
-    let l1g = Array.unsafe_get l1s 0 and tlbg = Array.unsafe_get tlbs 0 in
+    let k = b.k
+    and line_shift = b.line_shift
+    and page_shift = b.page_shift
+    and set_mask = b.set_mask
+    and assoc = b.assoc
+    and tag_prefetch = Ir.Sink.tag_prefetch
+    and tag_store = Ir.Sink.tag_store in
     for e = pos to pos + len - 1 do
       let v = Array.unsafe_get buf e in
-      let addr = v lsr 2 in
-      let tag = v land 3 in
-      let line = Cache.line_of_addr l1g addr in
-      let page = Tlb.page_of_addr tlbg addr in
-      if tag <> Ir.Sink.tag_prefetch then begin
-        let write = tag = Ir.Sink.tag_store in
-        let cnt = if write then stores else loads in
+      let addr = v lsr 2 and tag = v land 3 in
+      let line = addr lsr line_shift and page = addr lsr page_shift in
+      let base = (line land set_mask) * assoc in
+      if tag <> tag_prefetch then begin
+        let write = tag = tag_store in
         for i = 0 to k - 1 do
-          Array.unsafe_set cnt i (Array.unsafe_get cnt i + 1);
-          if not (Tlb.access (Array.unsafe_get tlbs i) ~page) then
-            tlb_refill b i;
-          let now =
-            Array.unsafe_get loads i + Array.unsafe_get stores i
-            + Array.unsafe_get stall i
-          in
-          let fill = Cache.access (Array.unsafe_get l1s i) ~line ~write in
-          if fill <> Cache.absent then begin
-            Array.unsafe_set hit0 i (Array.unsafe_get hit0 i + 1);
-            if fill > now then
-              Array.unsafe_set stall i (Array.unsafe_get stall i + (fill - now))
-          end
-          else demand_miss b i ~now ~addr ~write ~line
+          ignore (demand b i ~addr ~line ~page ~base ~write)
         done
       end
-      else begin
-        let prefs = b.b_prefs in
+      else
         for i = 0 to k - 1 do
-          Array.unsafe_set loads i (Array.unsafe_get loads i + 1);
-          Array.unsafe_set prefs i (Array.unsafe_get prefs i + 1);
-          if Tlb.probe (Array.unsafe_get tlbs i) ~page then begin
-            let now =
-              Array.unsafe_get loads i + Array.unsafe_get stores i
-              + Array.unsafe_get stall i
-            in
-            if
-              Cache.access (Array.unsafe_get l1s i) ~line ~write:false
-              = Cache.absent
-            then prefetch_miss b i ~now ~addr ~line
-          end
+          ignore (prefetch b i ~addr ~line ~page ~base)
         done
-      end
     done
 
   (* One event for plan [i] only (per-plan prefetch emissions and
@@ -473,51 +572,12 @@ module Batch = struct
      miss or a prefetch dropped on a TLB miss; 0 on an issued
      prefetch. *)
   let replay_one b i v =
-    let addr = v lsr 2 in
-    let tag = v land 3 in
-    let l1 = Array.unsafe_get b.l1s i in
-    let tlb = Array.unsafe_get b.tlbs i in
-    let line = Cache.line_of_addr l1 addr in
-    if tag <> Ir.Sink.tag_prefetch then begin
-      let write = tag = Ir.Sink.tag_store in
-      (if write then
-         Array.unsafe_set b.b_stores i (Array.unsafe_get b.b_stores i + 1)
-       else Array.unsafe_set b.b_loads i (Array.unsafe_get b.b_loads i + 1));
-      if not (Tlb.access tlb ~page:(Tlb.page_of_addr tlb addr)) then
-        tlb_refill b i;
-      let now =
-        Array.unsafe_get b.b_loads i
-        + Array.unsafe_get b.b_stores i
-        + Array.unsafe_get b.b_stall i
-      in
-      let fill = Cache.access l1 ~line ~write in
-      if fill <> Cache.absent then begin
-        Array.unsafe_set b.b_hit0 i (Array.unsafe_get b.b_hit0 i + 1);
-        if fill > now then
-          Array.unsafe_set b.b_stall i
-            (Array.unsafe_get b.b_stall i + (fill - now));
-        now - fill
-      end
-      else begin
-        demand_miss b i ~now ~addr ~write ~line;
-        no_slack
-      end
-    end
-    else begin
-      Array.unsafe_set b.b_loads i (Array.unsafe_get b.b_loads i + 1);
-      Array.unsafe_set b.b_prefs i (Array.unsafe_get b.b_prefs i + 1);
-      if Tlb.probe tlb ~page:(Tlb.page_of_addr tlb addr) then begin
-        let now =
-          Array.unsafe_get b.b_loads i
-          + Array.unsafe_get b.b_stores i
-          + Array.unsafe_get b.b_stall i
-        in
-        if Cache.access l1 ~line ~write:false = Cache.absent then
-          prefetch_miss b i ~now ~addr ~line;
-        0
-      end
-      else no_slack
-    end
+    let addr = v lsr 2 and tag = v land 3 in
+    let line = addr lsr b.line_shift and page = addr lsr b.page_shift in
+    let base = (line land b.set_mask) * b.assoc in
+    if tag <> Ir.Sink.tag_prefetch then
+      demand b i ~addr ~line ~page ~base ~write:(tag = Ir.Sink.tag_store)
+    else prefetch b i ~addr ~line ~page ~base
 
   let replay_range b i buf ~pos ~len =
     for e = pos to pos + len - 1 do
@@ -528,48 +588,30 @@ module Batch = struct
      delegates to the scalar warm path; the shared form still hoists
      the decode. *)
   let warm_all b buf ~pos ~len =
-    let k = b.k in
-    let l1s = b.l1s and tlbs = b.tlbs in
-    let l1g = Array.unsafe_get l1s 0 and tlbg = Array.unsafe_get tlbs 0 in
+    let k = b.k
+    and line_shift = b.line_shift
+    and page_shift = b.page_shift
+    and set_mask = b.set_mask
+    and assoc = b.assoc
+    and tag_prefetch = Ir.Sink.tag_prefetch
+    and tag_store = Ir.Sink.tag_store in
     for e = pos to pos + len - 1 do
       let v = Array.unsafe_get buf e in
-      let addr = v lsr 2 in
-      let tag = v land 3 in
-      let line = Cache.line_of_addr l1g addr in
-      let page = Tlb.page_of_addr tlbg addr in
-      if tag <> Ir.Sink.tag_prefetch then begin
-        let write = tag = Ir.Sink.tag_store in
-        for i = 0 to k - 1 do
-          ignore (Tlb.access (Array.unsafe_get tlbs i) ~page);
-          if Cache.access (Array.unsafe_get l1s i) ~line ~write = Cache.absent
-          then warm_miss b i ~addr ~write ~line
-        done
-      end
-      else
-        for i = 0 to k - 1 do
-          if Tlb.probe (Array.unsafe_get tlbs i) ~page then
-            if
-              Cache.access (Array.unsafe_get l1s i) ~line ~write:false
-              = Cache.absent
-            then warm_miss b i ~addr ~write:false ~line
-        done
+      let addr = v lsr 2 and tag = v land 3 in
+      let line = addr lsr line_shift and page = addr lsr page_shift in
+      let base = (line land set_mask) * assoc in
+      let prefetch = tag = tag_prefetch and write = tag = tag_store in
+      for i = 0 to k - 1 do
+        warm b i ~addr ~line ~page ~base ~prefetch ~write
+      done
     done
 
   let warm_one b i v =
-    let addr = v lsr 2 in
-    let tag = v land 3 in
-    let l1 = Array.unsafe_get b.l1s i in
-    let tlb = Array.unsafe_get b.tlbs i in
-    let line = Cache.line_of_addr l1 addr in
-    if tag <> Ir.Sink.tag_prefetch then begin
-      let write = tag = Ir.Sink.tag_store in
-      ignore (Tlb.access tlb ~page:(Tlb.page_of_addr tlb addr));
-      if Cache.access l1 ~line ~write = Cache.absent then
-        warm_miss b i ~addr ~write ~line
-    end
-    else if Tlb.probe tlb ~page:(Tlb.page_of_addr tlb addr) then
-      if Cache.access l1 ~line ~write:false = Cache.absent then
-        warm_miss b i ~addr ~write:false ~line
+    let addr = v lsr 2 and tag = v land 3 in
+    let line = addr lsr b.line_shift and page = addr lsr b.page_shift in
+    warm b i ~addr ~line ~page
+      ~base:((line land b.set_mask) * b.assoc)
+      ~prefetch:(tag = Ir.Sink.tag_prefetch) ~write:(tag = Ir.Sink.tag_store)
 
   let warm_range b i buf ~pos ~len = warm_packed b.hs.(i) buf ~pos ~len
 end

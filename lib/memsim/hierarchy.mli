@@ -30,7 +30,15 @@ val sink : t -> Ir.Sink.t
     ({!Ir.Sink.pack} encoding) in [buf.(pos .. pos+len-1)] in one tight
     loop — the batched fast path of the sink interface.  Counter and
     cache state evolution is identical to dispatching the same events
-    through {!load}/{!store}/{!prefetch}. *)
+    through {!load}/{!store}/{!prefetch}.
+
+    The hot counters (loads, stores, stall cycles, L1 hits,
+    prefetches) and the TLB's MRU page stay in locals for the whole
+    call and the counters are written back on return, so [counters t]
+    is current between calls, never during one.  An event whose page
+    is the MRU page or sits in its home TLB slot, and whose line hits
+    in L1 ways 0 or 1, makes no call at all; ways [>= 2] take one
+    non-allocating call.  Nothing is allocated, on hits or misses. *)
 val replay_packed : t -> int array -> pos:int -> len:int -> unit
 
 (** As {!replay_packed}, but evolving cache/TLB state only — no
@@ -38,7 +46,8 @@ val replay_packed : t -> int array -> pos:int -> len:int -> unit
     that is followed by {!reset_counters} (which discards the counters
     and settles fill times) before anything is measured; residency, LRU
     and dirty state after the prefix are identical to
-    {!replay_packed}'s. *)
+    {!replay_packed}'s.  Same kernel shape: the MRU page in a local,
+    the same inline TLB and L1 probes, no allocation. *)
 val warm_packed : t -> int array -> pos:int -> len:int -> unit
 
 (** The slack {!Batch.replay_one} reports for an event with no timing
@@ -54,11 +63,14 @@ val no_slack : int
     {!Counters.t} and are updated out of line on miss paths.
 
     Per plan, the arithmetic is a verbatim transliteration of one
-    {!replay_packed} iteration, so after {!Batch.sync} the counters are
+    {!replay_packed} iteration, with the same inline TLB check (MRU
+    page, then home slot) and L1 ways-0/1 probe and the same
+    non-allocating miss paths; the counters stay in the flat arrays
+    rather than in locals.  After {!Batch.sync} the counters are
     bit-identical to replaying that plan's stream unbatched.  While a
     batch is live its plans' hot counter fields are stale: every feed
     must go through the batch, and {!Batch.sync} must be called before
-    the {!Counters.t} records are read.
+    the {!Counters.t} records are read.  No feed allocates.
 
     {!Batch.replay_one} also reports the timing feedback the
     incremental prefetch repricer observes (the slack mode); at K = 1 a
@@ -67,9 +79,10 @@ module Batch : sig
   type hierarchy := t
   type t
 
-  (** [create hs] wraps the pool [hs] (uniform machine geometry
-      required), seeding the flat counters from each hierarchy's
-      current {!Counters.t}. *)
+  (** [create hs] wraps the pool [hs] (uniform L1 and TLB geometry
+      required: one line, page and set decode serves every plan),
+      seeding the flat counters from each hierarchy's current
+      {!Counters.t}. *)
   val create : hierarchy array -> t
 
   val size : t -> int

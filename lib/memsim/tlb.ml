@@ -36,29 +36,29 @@ let create (g : Machine.tlb) =
 let page_bytes t = t.page_bytes
 let page_of_addr t addr = addr lsr t.page_shift
 
-let mem t page =
-  let keys = t.keys and mask = t.mask in
-  let rec go i =
-    let k = Array.unsafe_get keys i in
-    k = page || (k <> -1 && go ((i + 1) land mask))
-  in
-  go (page land mask)
+(* Probes over the key table are top-level functions: a local closure
+   would allocate on every call, and [access] runs once per TLB miss of
+   the replay kernel. *)
+let rec mem_from (keys : int array) mask page i =
+  let k = Array.unsafe_get keys i in
+  k = page || (k <> -1 && mem_from keys mask page ((i + 1) land mask))
 
-let add t page =
-  let keys = t.keys and mask = t.mask in
-  let rec go i =
-    if Array.unsafe_get keys i = -1 then Array.unsafe_set keys i page
-    else go ((i + 1) land mask)
-  in
-  go (page land mask)
+let mem t page = mem_from t.keys t.mask page (page land t.mask)
+
+let rec free_slot keys mask i =
+  if Array.unsafe_get keys i = -1 then i else free_slot keys mask ((i + 1) land mask)
+
+let add t page = t.keys.(free_slot t.keys t.mask (page land t.mask)) <- page
+
+let rec slot_of (keys : int array) mask page i =
+  if keys.(i) = page then i else slot_of keys mask page ((i + 1) land mask)
 
 (* Backward-shift deletion: refill the hole left at the removed slot by
    sliding later chain members whose home slot lies at or before the
    hole, so [mem]'s stop-at-empty probe stays correct. *)
 let remove t page =
   let keys = t.keys and mask = t.mask in
-  let rec find i = if keys.(i) = page then i else find ((i + 1) land mask) in
-  let hole = ref (find (page land mask)) in
+  let hole = ref (slot_of keys mask page (page land mask)) in
   keys.(!hole) <- -1;
   let j = ref !hole in
   let scanning = ref true in

@@ -104,11 +104,10 @@ let misses_under t geometry =
   let touch addr =
     incr accesses;
     let line = Cache.line_of_addr cache addr in
-    match Cache.lookup cache ~now:0 ~line with
-    | Cache.Hit _ -> ()
-    | Cache.Miss ->
+    if Cache.access cache ~line ~write:false = Cache.absent then begin
       incr misses;
       ignore (Cache.insert cache ~now:0 ~ready:0 ~dirty:false ~line)
+    end
   in
   replay t
     { Ir.Sink.load = touch; Ir.Sink.store = touch; Ir.Sink.prefetch = ignore };

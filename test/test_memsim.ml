@@ -6,15 +6,16 @@ let tiny_cache ?(assoc = 2) ?(size = 1024) ?(line = 32) () =
   Memsim.Cache.create
     { Machine.name = "T"; size_bytes = size; line_bytes = line; assoc; hit_cycles = 0 }
 
-let is_hit = function Memsim.Cache.Hit _ -> true | Memsim.Cache.Miss -> false
+let is_hit c ~line =
+  Memsim.Cache.access c ~line ~write:false <> Memsim.Cache.absent
 
 let test_cache_cold_miss_then_hit () =
   let c = tiny_cache () in
   Alcotest.(check bool) "cold miss" false
-    (is_hit (Memsim.Cache.lookup c ~now:0 ~line:5));
+    (is_hit c ~line:5);
   ignore (Memsim.Cache.insert c ~now:0 ~ready:0 ~dirty:false ~line:5);
   Alcotest.(check bool) "hit after insert" true
-    (is_hit (Memsim.Cache.lookup c ~now:1 ~line:5))
+    (is_hit c ~line:5)
 
 let test_cache_line_granularity () =
   (* 32-byte lines: addresses 0 and 31 share a line, 32 does not. *)
@@ -32,7 +33,7 @@ let test_cache_lru_eviction () =
   let a = 3 and b = 3 + sets and d = 3 + (2 * sets) in
   ignore (Memsim.Cache.insert c ~now:0 ~ready:0 ~dirty:false ~line:a);
   ignore (Memsim.Cache.insert c ~now:1 ~ready:0 ~dirty:false ~line:b);
-  ignore (is_hit (Memsim.Cache.lookup c ~now:2 ~line:a));
+  ignore (is_hit c ~line:a);
   ignore (Memsim.Cache.insert c ~now:3 ~ready:0 ~dirty:false ~line:d);
   Alcotest.(check bool) "a survives (recently used)" true
     (Memsim.Cache.resident c ~line:a);
@@ -69,9 +70,7 @@ let test_cache_set_dirty () =
 let test_cache_fill_time_returned () =
   let c = tiny_cache () in
   ignore (Memsim.Cache.insert c ~now:10 ~ready:150 ~dirty:false ~line:2);
-  match Memsim.Cache.lookup c ~now:20 ~line:2 with
-  | Memsim.Cache.Hit ready -> check_int "fill time" 150 ready
-  | Memsim.Cache.Miss -> Alcotest.fail "expected hit"
+  check_int "fill time" 150 (Memsim.Cache.access c ~line:2 ~write:false)
 
 let test_cache_reset () =
   let c = tiny_cache () in
@@ -333,11 +332,11 @@ let prop_higher_assoc_no_more_misses_single_set =
         in
         List.fold_left
           (fun acc line ->
-            match Memsim.Cache.lookup c ~now:0 ~line with
-            | Memsim.Cache.Hit _ -> acc
-            | Memsim.Cache.Miss ->
+            if is_hit c ~line then acc
+            else begin
               ignore (Memsim.Cache.insert c ~now:0 ~ready:0 ~dirty:false ~line);
-              acc + 1)
+              acc + 1
+            end)
           0 lines
       in
       misses 8 <= misses 4 && misses 4 <= misses 2 && misses 2 <= misses 1)

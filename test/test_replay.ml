@@ -37,53 +37,81 @@ let synthetic_events n =
       in
       (addr lsl 2) lor tag)
 
+(* A stream for the cross-geometry tests: mostly a 100 KB working set,
+   one event in five anywhere in 2 MB, so every machine sees L1 and TLB
+   misses, the small ones miss in L2, and the three-level one services
+   cold misses through L3. *)
+let geometry_events n =
+  let near = synthetic_events n and far = synthetic_events (n / 5 + 1) in
+  Array.mapi
+    (fun i v ->
+      if i mod 5 = 4 then
+        let f = far.(i / 5) in
+        (((f lsr 2) * 20 mod 2_000_000) lsl 2) lor (v land 3)
+      else v)
+    near
+
+let machines = Test_vm.replay_machines
+
 let check_counters msg a b =
   Alcotest.(check bool) msg true (a = b)
 
+let check_int = Alcotest.(check int)
+
 let test_replay_many_matches_packed () =
-  let events = synthetic_events 20_000 in
+  let events = geometry_events 20_000 in
   let k = 3 in
-  let batched = Array.init k (fun _ -> Memsim.Hierarchy.create sgi) in
-  let b = Memsim.Hierarchy.Batch.create batched in
-  Memsim.Hierarchy.Batch.replay_all b events ~pos:0 ~len:(Array.length events);
-  Memsim.Hierarchy.Batch.sync b;
-  for i = 0 to k - 1 do
-    let solo = Memsim.Hierarchy.create sgi in
-    Memsim.Hierarchy.replay_packed solo events ~pos:0 ~len:(Array.length events);
-    check_counters
-      (Printf.sprintf "state %d counters identical" i)
-      (Memsim.Hierarchy.counters batched.(i))
-      (Memsim.Hierarchy.counters solo)
-  done
+  List.iter
+    (fun m ->
+      let batched = Array.init k (fun _ -> Memsim.Hierarchy.create m) in
+      let b = Memsim.Hierarchy.Batch.create batched in
+      Memsim.Hierarchy.Batch.replay_all b events ~pos:0
+        ~len:(Array.length events);
+      Memsim.Hierarchy.Batch.sync b;
+      let solo = Memsim.Hierarchy.create m in
+      Memsim.Hierarchy.replay_packed solo events ~pos:0
+        ~len:(Array.length events);
+      for i = 0 to k - 1 do
+        check_counters
+          (Printf.sprintf "%s: state %d counters identical" m.Machine.name i)
+          (Memsim.Hierarchy.counters batched.(i))
+          (Memsim.Hierarchy.counters solo)
+      done)
+    machines
 
 (* The SoA one-event / range feeds compose with the shared-run feed:
    interleaving them per plan is still bit-identical to a solo replay
    of the concatenated stream. *)
 let test_batch_mixed_feed_matches_packed () =
-  let events = synthetic_events 12_000 in
+  let events = geometry_events 12_000 in
   let n = Array.length events in
   let cutA = 5_000 and cutB = 9_000 in
   let k = 4 in
-  let batched = Array.init k (fun _ -> Memsim.Hierarchy.create sgi) in
-  let b = Memsim.Hierarchy.Batch.create batched in
-  Memsim.Hierarchy.Batch.replay_all b events ~pos:0 ~len:cutA;
-  for i = 0 to k - 1 do
-    for e = cutA to cutB - 1 do
-      ignore (Memsim.Hierarchy.Batch.replay_one b i events.(e))
-    done
-  done;
-  for i = 0 to k - 1 do
-    Memsim.Hierarchy.Batch.replay_range b i events ~pos:cutB ~len:(n - cutB)
-  done;
-  Memsim.Hierarchy.Batch.sync b;
-  for i = 0 to k - 1 do
-    let solo = Memsim.Hierarchy.create sgi in
-    Memsim.Hierarchy.replay_packed solo events ~pos:0 ~len:n;
-    check_counters
-      (Printf.sprintf "mixed feed state %d counters identical" i)
-      (Memsim.Hierarchy.counters batched.(i))
-      (Memsim.Hierarchy.counters solo)
-  done
+  List.iter
+    (fun m ->
+      let batched = Array.init k (fun _ -> Memsim.Hierarchy.create m) in
+      let b = Memsim.Hierarchy.Batch.create batched in
+      Memsim.Hierarchy.Batch.replay_all b events ~pos:0 ~len:cutA;
+      for i = 0 to k - 1 do
+        for e = cutA to cutB - 1 do
+          ignore (Memsim.Hierarchy.Batch.replay_one b i events.(e))
+        done
+      done;
+      for i = 0 to k - 1 do
+        Memsim.Hierarchy.Batch.replay_range b i events ~pos:cutB
+          ~len:(n - cutB)
+      done;
+      Memsim.Hierarchy.Batch.sync b;
+      let solo = Memsim.Hierarchy.create m in
+      Memsim.Hierarchy.replay_packed solo events ~pos:0 ~len:n;
+      for i = 0 to k - 1 do
+        check_counters
+          (Printf.sprintf "%s: mixed feed state %d counters identical"
+             m.Machine.name i)
+          (Memsim.Hierarchy.counters batched.(i))
+          (Memsim.Hierarchy.counters solo)
+      done)
+    machines
 
 (* [Batch.replay_one]'s slack is the timing the repricer observes: on
    a demand hit it is non-negative exactly when the line's fill was
@@ -145,7 +173,7 @@ let test_replay_one_slack () =
 let test_warm_variants_agree () =
   (* Warm with each of the three entry points, then replay the same
      tail: all counters must agree (warm-up leaves identical state). *)
-  let events = synthetic_events 8_000 in
+  let events = geometry_events 8_000 in
   let cut = 3_000 in
   let tail h =
     Memsim.Hierarchy.reset_counters h;
@@ -153,19 +181,144 @@ let test_warm_variants_agree () =
       ~len:(Array.length events - cut);
     Memsim.Hierarchy.counters h
   in
-  let a = Memsim.Hierarchy.create sgi in
-  Memsim.Hierarchy.warm_packed a events ~pos:0 ~len:cut;
-  let b = Memsim.Hierarchy.create sgi in
-  let bb = Memsim.Hierarchy.Batch.create [| b |] in
-  for i = 0 to cut - 1 do
-    Memsim.Hierarchy.Batch.warm_one bb 0 events.(i)
-  done;
-  let c = Memsim.Hierarchy.create sgi in
-  let bc = Memsim.Hierarchy.Batch.create [| c |] in
-  Memsim.Hierarchy.Batch.warm_all bc events ~pos:0 ~len:cut;
-  let ca = tail a in
-  check_counters "Batch.warm_one ≡ warm_packed" ca (tail b);
-  check_counters "Batch.warm_all ≡ warm_packed" ca (tail c)
+  List.iter
+    (fun m ->
+      let a = Memsim.Hierarchy.create m in
+      Memsim.Hierarchy.warm_packed a events ~pos:0 ~len:cut;
+      let b = Memsim.Hierarchy.create m in
+      let bb = Memsim.Hierarchy.Batch.create [| b |] in
+      for i = 0 to cut - 1 do
+        Memsim.Hierarchy.Batch.warm_one bb 0 events.(i)
+      done;
+      let c = Memsim.Hierarchy.create m in
+      let bc = Memsim.Hierarchy.Batch.create [| c |] in
+      Memsim.Hierarchy.Batch.warm_all bc events ~pos:0 ~len:cut;
+      let ca = tail a in
+      check_counters (m.Machine.name ^ ": Batch.warm_one ≡ warm_packed") ca
+        (tail b);
+      check_counters (m.Machine.name ^ ": Batch.warm_all ≡ warm_packed") ca
+        (tail c))
+    machines
+
+(* The measurement protocol on every geometry: a state-only warm
+   prefix, [reset_counters], then a measured pass, exact and sampled.
+   The sink-driven hierarchy (full accounting over the prefix too, then
+   the same reset) is the reference for the exact pass; [Batch] (K = 2,
+   shared feeds exact, per-plan sampler windows sampled) must match the
+   scalar kernel counter for counter, and [now] too. *)
+let test_protocol_across_geometries () =
+  let events = geometry_events 16_000 in
+  let n = Array.length events and cut = 5_000 in
+  let spec = { Memsim.Sampling.shrink = 1; window = 700; gap = 1_300; warm = 400 } in
+  let counters = Memsim.Hierarchy.counters and now = Memsim.Hierarchy.now in
+  List.iter
+    (fun m ->
+      let name what = Printf.sprintf "%s: %s" m.Machine.name what in
+      let reference = Memsim.Hierarchy.create m in
+      for e = 0 to n - 1 do
+        let v = events.(e) in
+        if e = cut then Memsim.Hierarchy.reset_counters reference;
+        let addr = v lsr 2 in
+        match v land 3 with
+        | 0 -> Memsim.Hierarchy.load reference addr
+        | 1 -> Memsim.Hierarchy.store reference addr
+        | _ -> Memsim.Hierarchy.prefetch reference addr
+      done;
+      let warmed () =
+        let h = Memsim.Hierarchy.create m in
+        Memsim.Hierarchy.warm_packed h events ~pos:0 ~len:cut;
+        Memsim.Hierarchy.reset_counters h;
+        h
+      in
+      let exact = warmed () in
+      Memsim.Hierarchy.replay_packed exact events ~pos:cut ~len:(n - cut);
+      check_counters (name "replay_packed ≡ sink") (counters reference)
+        (counters exact);
+      check_int (name "now") (now reference) (now exact);
+      let sampled = warmed () in
+      Memsim.Hierarchy.replay_sampled sampled (Memsim.Sampling.sampler spec)
+        events ~pos:cut ~len:(n - cut);
+      let pool = Array.init 2 (fun _ -> Memsim.Hierarchy.create m) in
+      let b = Memsim.Hierarchy.Batch.create pool in
+      Memsim.Hierarchy.Batch.warm_all b events ~pos:0 ~len:cut;
+      Memsim.Hierarchy.Batch.reset_counters b;
+      Memsim.Hierarchy.Batch.replay_all b events ~pos:cut ~len:(n - cut);
+      Memsim.Hierarchy.Batch.sync b;
+      Array.iteri
+        (fun i h ->
+          check_counters (name (Printf.sprintf "Batch plan %d ≡ replay_packed" i))
+            (counters exact) (counters h);
+          check_int (name "Batch now") (now exact) (now h))
+        pool;
+      let pool = Array.init 2 (fun _ -> Memsim.Hierarchy.create m) in
+      let b = Memsim.Hierarchy.Batch.create pool in
+      Memsim.Hierarchy.Batch.warm_all b events ~pos:0 ~len:cut;
+      Memsim.Hierarchy.Batch.reset_counters b;
+      for i = 0 to 1 do
+        let s = Memsim.Sampling.sampler spec in
+        let p = ref cut in
+        while !p < n do
+          let action, len = Memsim.Sampling.take s (n - !p) in
+          (match action with
+          | Memsim.Sampling.Measure ->
+            Memsim.Hierarchy.Batch.replay_range b i events ~pos:!p ~len
+          | Memsim.Sampling.Warm ->
+            Memsim.Hierarchy.Batch.warm_range b i events ~pos:!p ~len
+          | Memsim.Sampling.Drop -> ());
+          p := !p + len
+        done
+      done;
+      Memsim.Hierarchy.Batch.sync b;
+      Array.iteri
+        (fun i h ->
+          check_counters
+            (name (Printf.sprintf "sampled Batch plan %d ≡ replay_sampled" i))
+            (counters sampled) (counters h))
+        pool)
+    machines
+
+(* The replay kernel allocates nothing per event, on hits or on the
+   miss, service and TLB-refill paths: after one warm-up call, a replay
+   of a miss-heavy trace (jacobi3d on the 1/16-capacity R10000) adds
+   under 1 minor word per 1000 events. *)
+let test_replay_allocation_free () =
+  let kernel = Kernels.Jacobi3d.kernel in
+  let trace =
+    Memsim.Trace.of_program
+      ~params:(Kernels.Kernel.params kernel 24)
+      kernel.Kernels.Kernel.program
+  in
+  let events = Memsim.Trace.raw trace and len = Memsim.Trace.length trace in
+  let m = Machine.sgi_r10000_mini in
+  let h = Memsim.Hierarchy.create m in
+  let b =
+    Memsim.Hierarchy.Batch.create
+      (Array.init 3 (fun _ -> Memsim.Hierarchy.create m))
+  in
+  let c = Memsim.Hierarchy.counters h in
+  let check what run =
+    run ();
+    let before = Gc.minor_words () in
+    run ();
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.0f minor words over %d events" what words len)
+      true
+      (words *. 1000.0 < float_of_int len)
+  in
+  check "replay_packed" (fun () ->
+      Memsim.Hierarchy.replay_packed h events ~pos:0 ~len);
+  Alcotest.(check bool) "the trace is miss-heavy" true
+    (Memsim.Counters.l1_misses c * 10 > Memsim.Counters.accesses c
+    && c.Memsim.Counters.tlb_misses > 0);
+  check "warm_packed" (fun () ->
+      Memsim.Hierarchy.warm_packed h events ~pos:0 ~len);
+  check "Batch.replay_all" (fun () ->
+      Memsim.Hierarchy.Batch.replay_all b events ~pos:0 ~len);
+  check "Batch.warm_all" (fun () ->
+      Memsim.Hierarchy.Batch.warm_all b events ~pos:0 ~len);
+  check "Batch.replay_range" (fun () ->
+      Memsim.Hierarchy.Batch.replay_range b 1 events ~pos:0 ~len)
 
 (* --- the sampling state machine --------------------------------------- *)
 
@@ -730,6 +883,10 @@ let suite =
     Alcotest.test_case "Batch.replay_one slack ≡ fill readiness" `Quick
       test_replay_one_slack;
     Alcotest.test_case "warm entry points agree" `Quick test_warm_variants_agree;
+    Alcotest.test_case "protocol ≡ across geometries" `Quick
+      test_protocol_across_geometries;
+    Alcotest.test_case "replay kernel allocates nothing" `Quick
+      test_replay_allocation_free;
     Alcotest.test_case "sampler schedule" `Quick test_sampler_schedule;
     Alcotest.test_case "sampler chunking invariant" `Quick
       test_sampler_chunking_invariant;

@@ -76,11 +76,12 @@ let lru_hits capacity lines =
   in
   List.fold_left
     (fun acc line ->
-      match Memsim.Cache.lookup cache ~now:0 ~line with
-      | Memsim.Cache.Hit _ -> acc + 1
-      | Memsim.Cache.Miss ->
+      if Memsim.Cache.access cache ~line ~write:false <> Memsim.Cache.absent
+      then acc + 1
+      else begin
         ignore (Memsim.Cache.insert cache ~now:0 ~ready:0 ~dirty:false ~line);
-        acc)
+        acc
+      end)
     0 lines
 
 let prop_lru_oracle =

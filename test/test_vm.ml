@@ -170,7 +170,12 @@ let test_warm_cut_matches_closure_prefix () =
 
 (* --- packed replay vs the sink-driven hierarchy --- *)
 
-let replay_machines = [ machine; Machine.ultrasparc_iie ]
+(* The replay kernel probes L1 ways 0 and 1 inline and the rest out of
+   line, and services misses level by level: L1 associativity 2
+   (R10000, and its miss-heavy 1/16 scale), 1 (UltraSparc) and 8 with
+   three levels (modern) cover every probe and service path. *)
+let replay_machines =
+  [ machine; Machine.ultrasparc_iie; Machine.modern_3level; Machine.sgi_r10000_mini ]
 
 let test_replay_packed_vs_sink () =
   let kernel = Kernels.Stencil2d.kernel in
@@ -377,29 +382,45 @@ let small_cache ~assoc =
       hit_cycles = 1;
     }
 
-let test_cache_access_matches_lookup () =
-  let probe = small_cache ~assoc:2 and fused = small_cache ~assoc:2 in
-  let rng = Rng.make 31 in
-  for now = 0 to 499 do
-    let line = Rng.int rng 24 in
-    let write = Rng.bool rng in
-    let by_lookup =
-      match Memsim.Cache.lookup probe ~now ~line with
-      | Memsim.Cache.Hit fill ->
-        if write then Memsim.Cache.set_dirty probe ~line;
-        fill
-      | Memsim.Cache.Miss ->
-        ignore
-          (Memsim.Cache.insert probe ~now ~ready:(now + 10) ~dirty:write ~line);
-        Memsim.Cache.absent
-    in
-    let by_access = Memsim.Cache.access fused ~line ~write in
-    if by_access = Memsim.Cache.absent then
-      ignore (Memsim.Cache.insert fused ~now ~ready:(now + 10) ~dirty:write ~line);
-    check_int "access = lookup+set_dirty" by_lookup by_access
-  done;
-  check_int "same occupancy" (Memsim.Cache.occupancy probe)
-    (Memsim.Cache.occupancy fused)
+(* [access] (plus [insert] on a miss) against a reference true-LRU
+   model: per set, a most-recent-first list of (line, fill, dirty).
+   Associativity 1, 2 and 4 covers the direct, two-way and [find_way]
+   probes; fills, dirty write-back evictions and occupancy must all
+   agree. *)
+let test_cache_access_matches_model () =
+  List.iter
+    (fun assoc ->
+      let c = small_cache ~assoc in
+      let sets = Memsim.Cache.sets c in
+      let model = Array.make sets [] in
+      let rng = Rng.make 31 in
+      for now = 0 to 999 do
+        let line = Rng.int rng (3 * assoc * sets / 2) in
+        let write = Rng.bool rng in
+        let set = line land (sets - 1) in
+        let got = Memsim.Cache.access c ~line ~write in
+        match List.partition (fun (l, _, _) -> l = line) model.(set) with
+        | [ (_, fill, dirty) ], rest ->
+          model.(set) <- (line, fill, dirty || write) :: rest;
+          check_int (Printf.sprintf "assoc %d: hit fill" assoc) fill got
+        | _ ->
+          check_int (Printf.sprintf "assoc %d: miss" assoc) Memsim.Cache.absent got;
+          let ways = model.(set) in
+          let victim_dirty =
+            List.length ways = assoc
+            && (let _, _, d = List.nth ways (assoc - 1) in d)
+          in
+          model.(set) <-
+            (line, now + 10, write) :: List.filteri (fun i _ -> i < assoc - 1) ways;
+          Alcotest.(check bool)
+            (Printf.sprintf "assoc %d: dirty eviction" assoc)
+            victim_dirty
+            (Memsim.Cache.insert c ~now ~ready:(now + 10) ~dirty:write ~line)
+      done;
+      check_int "same occupancy"
+        (Array.fold_left (fun n l -> n + List.length l) 0 model)
+        (Memsim.Cache.occupancy c))
+    [ 1; 2; 4 ]
 
 let test_cache_insert_fills_invalid_ways_first () =
   let c = small_cache ~assoc:4 in
@@ -469,8 +490,8 @@ let suite =
       test_executor_paths_agree;
     Alcotest.test_case "engine: fast = closures, traces reused" `Quick
       test_engine_paths_agree;
-    Alcotest.test_case "cache access = lookup + set_dirty" `Quick
-      test_cache_access_matches_lookup;
+    Alcotest.test_case "cache access = LRU reference model" `Quick
+      test_cache_access_matches_model;
     Alcotest.test_case "cache insert prefers invalid ways" `Quick
       test_cache_insert_fills_invalid_ways_first;
     Alcotest.test_case "set_dirty on absent line" `Quick
