@@ -6,6 +6,11 @@ set -eux
 dune build
 dune runtest
 
+# The benchmark's own checks at smoke size: every workload untraced and
+# traced must report a correct result (committed winners, repeatable
+# counts, Batch at K=1 = replay_packed, measure_plans K-invariance).
+python3 perfbench/test_smoke.py
+
 # Differential correctness budget: seeded random variant points and
 # transformation pipelines checked against the reference interpreter.
 dune exec bin/eco_cli.exe -- check -k matmul --seed 42 --trials 50

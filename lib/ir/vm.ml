@@ -1,5 +1,7 @@
 (* Bytecode VM: the measurement fast path.  Compiles a fully-bound
-   program once into flat int arrays and replays it in a tight loop.
+   program once into flat int arrays and replays it in a tight loop;
+   in address-only mode each innermost loop runs from a descriptor,
+   whole iterations in bulk and a budget-crossing one item by item.
    Semantics (statement order, evaluation order, budget behaviour,
    spill rules, address computation) mirror the closure interpreter in
    exec.ml exactly — the differential test suite holds the two
@@ -13,13 +15,21 @@ module Buf = struct
   let length t = t.len
   let data t = t.a
 
-  let grow t =
-    let bigger = Array.make (2 * Array.length t.a) 0 in
-    Array.blit t.a 0 bigger 0 t.len;
-    t.a <- bigger
+  (* Room for [n] more values without growing. *)
+  let reserve t n =
+    let need = t.len + n in
+    if need > Array.length t.a then begin
+      let size = ref (2 * Array.length t.a) in
+      while !size < need do
+        size := 2 * !size
+      done;
+      let bigger = Array.make !size 0 in
+      Array.blit t.a 0 bigger 0 t.len;
+      t.a <- bigger
+    end
 
   let push t v =
-    if t.len = Array.length t.a then grow t;
+    if t.len = Array.length t.a then reserve t 1;
     Array.unsafe_set t.a t.len v;
     t.len <- t.len + 1
 end
@@ -31,6 +41,7 @@ let op_move = 2 (* [op] *)
 let op_touch = 3 (* [op; aff]  affine pre-packed: ((base+o) lsl 5) lor tag *)
 let op_loop = 4 (* [op; slot; step; lo_pc; hi_pc; end_pc; mark_id] *)
 let op_end = 5 (* [op; loop_pc] *)
+let op_iloop = 17 (* [op; slot; step; lo_pc; hi_pc; mark_id; descriptor...] *)
 
 (* Compute-mode opcodes (float stack machine). *)
 let op_fconst = 6 (* [op; fidx] *)
@@ -53,6 +64,21 @@ let b_add = 3
 let b_floormult = 4 (* [op; k] *)
 let b_ret = 5
 
+(* An address-only innermost loop compiles to one [op_iloop] whose
+   descriptor follows inline:
+   [op; slot; step; lo_pc; hi_pc; mark_id; next_pc; flops; moves; nt;
+    items...; tinc...].
+   [flops] and [moves] are per iteration.  [items] is the body in
+   order, each [(arg lsl 2) lor kind]: [item_flops] adds [arg] flops,
+   [item_move] is a register move, [item_touch] emits the next touch,
+   whose value starts at interned affine expression [arg].  Touch [k]
+   (in body order, [nt] in all) moves by [tinc.(k)] per iteration: the
+   loop slot's coefficient × step, pre-shifted like the table, so the
+   packed tag bits survive.  Execution continues at [next_pc]. *)
+let item_flops = 0
+let item_move = 1
+let item_touch = 2
+
 type t = {
   code : int array;
   bcode : int array;
@@ -71,6 +97,7 @@ type t = {
   mark_slots : int array array;
   (* Mutable scratch (one runner at a time). *)
   env : int array;
+  cur : int array;  (* current touch values of the running innermost loop *)
   f_slot : int array;
   f_step : int array;
   f_hi : int array;
@@ -196,23 +223,54 @@ let compile ?(compute = false) ?(marks = false) ?register_budget ~params
   let is_register_ref (r : Reference.t) =
     not (placement_of r.Reference.array).Exec.in_memory
   in
-  (* Fast mode: the access events of an expression, in the closure
-     interpreter's right-to-left evaluation order ([fa () +. fb ()]
-     evaluates [fb] first). *)
-  let rec emit_touches (e : Fexpr.t) =
+  (* Address-only mode: an assignment is its flop count (or register
+     move), then its access events in the closure interpreter's order —
+     operands right to left ([fa () +. fb ()] evaluates [fb] first),
+     the store last.  [item] receives each piece, as bytecode outside
+     innermost loops and as a descriptor item inside them. *)
+  let assign_head (lhs : Reference.t) rhs =
+    let n = Fexpr.flops rhs in
+    let is_move =
+      n = 0
+      &&
+      match rhs with
+      | Fexpr.Ref r -> is_register_ref r && is_register_ref lhs
+      | _ -> false
+    in
+    if is_move then item_move else (n lsl 2) lor item_flops
+  in
+  let touch item tag r =
+    let pl, offset = fold_offset r in
+    if pl.Exec.in_memory then
+      item
+        ((intern_aff ~shift:5 ~tag ~base:pl.Exec.base offset lsl 2)
+        lor item_touch)
+  in
+  let rec touch_loads item (e : Fexpr.t) =
     match e with
-    | Fexpr.Ref r ->
-      let pl, offset = fold_offset r in
-      if pl.Exec.in_memory then begin
-        Buf.push code op_touch;
-        Buf.push code
-          (intern_aff ~shift:5 ~tag:Sink.tag_load ~base:pl.Exec.base offset)
-      end
+    | Fexpr.Ref r -> touch item Sink.tag_load r
     | Fexpr.Const _ -> ()
-    | Fexpr.Neg x -> emit_touches x
+    | Fexpr.Neg x -> touch_loads item x
     | Fexpr.Bin (_, a, b) ->
-      emit_touches b;
-      emit_touches a
+      touch_loads item b;
+      touch_loads item a
+  in
+  let address_stmt item (s : Stmt.t) =
+    match s with
+    | Stmt.Assign (lhs, rhs) ->
+      item (assign_head lhs rhs);
+      touch_loads item rhs;
+      touch item Sink.tag_store lhs
+    | Stmt.Prefetch r -> touch item Sink.tag_prefetch r
+    | Stmt.Loop _ -> invalid_arg "Vm.compile: address_stmt on a loop"
+  in
+  let emit_op item =
+    let kind = item land 3 in
+    if kind = item_move then Buf.push code op_move
+    else begin
+      Buf.push code (if kind = item_flops then op_flops else op_touch);
+      Buf.push code (item lsr 2)
+    end
   in
   (* Compute mode: float stack machine, same evaluation order. *)
   let data_index =
@@ -255,22 +313,16 @@ let compile ?(compute = false) ?(marks = false) ?register_budget ~params
   in
   let emit_store (lhs : Reference.t) =
     let pl, offset = fold_offset lhs in
-    if compute then
-      if pl.Exec.in_memory then begin
-        Buf.push code op_fstoreh;
-        Buf.push code (intern_aff offset);
-        Buf.push code (data_index lhs.Reference.array);
-        Buf.push code ((pl.Exec.base lsl 5) lor Sink.tag_store)
-      end
-      else begin
-        Buf.push code op_fstorer;
-        Buf.push code (intern_aff offset);
-        Buf.push code (data_index lhs.Reference.array)
-      end
-    else if pl.Exec.in_memory then begin
-      Buf.push code op_touch;
-      Buf.push code
-        (intern_aff ~shift:5 ~tag:Sink.tag_store ~base:pl.Exec.base offset)
+    if pl.Exec.in_memory then begin
+      Buf.push code op_fstoreh;
+      Buf.push code (intern_aff offset);
+      Buf.push code (data_index lhs.Reference.array);
+      Buf.push code ((pl.Exec.base lsl 5) lor Sink.tag_store)
+    end
+    else begin
+      Buf.push code op_fstorer;
+      Buf.push code (intern_aff offset);
+      Buf.push code (data_index lhs.Reference.array)
     end
   in
   (* Iteration marks: slots feeding the folded offsets of the
@@ -294,65 +346,99 @@ let compile ?(compute = false) ?(marks = false) ?register_budget ~params
   let is_innermost body =
     not (List.exists (function Stmt.Loop _ -> true | _ -> false) body)
   in
+  (* Per-iteration change of interned affine value [j] in a loop over
+     [slot]. *)
+  let aff_step j ~slot ~step =
+    let o = (Buf.data aoff).(j) in
+    let inc = ref 0 in
+    for k = o to o + (Buf.data alen).(j) - 1 do
+      if (Buf.data aslot).(k) = slot then
+        inc := !inc + ((Buf.data acoef).(k) * step)
+    done;
+    !inc
+  in
+  let push_code v = Buf.push code v in
+  let address_into_code s = address_stmt push_code s in
+  let max_touches = ref 0 in
+  let emit_iloop (l : Stmt.loop) ~slot ~lo_pc ~hi_pc ~mark_id =
+    let header = Buf.length code in
+    Buf.push code op_iloop;
+    Buf.push code slot;
+    Buf.push code l.Stmt.step;
+    Buf.push code lo_pc;
+    Buf.push code hi_pc;
+    Buf.push code mark_id;
+    (* next_pc, flops, moves and nt, patched below *)
+    for _ = 1 to 4 do
+      Buf.push code 0
+    done;
+    let items = Buf.length code in
+    List.iter address_into_code l.Stmt.body;
+    let tinc = Buf.length code in
+    let flops = ref 0 and moves = ref 0 in
+    for q = items to tinc - 1 do
+      let it = (Buf.data code).(q) in
+      let kind = it land 3 in
+      if kind = item_touch then
+        Buf.push code (aff_step (it lsr 2) ~slot ~step:l.Stmt.step)
+      else if kind = item_flops then flops := !flops + (it lsr 2)
+      else incr moves
+    done;
+    let nt = Buf.length code - tinc in
+    let d = Buf.data code in
+    d.(header + 6) <- Buf.length code;
+    d.(header + 7) <- !flops;
+    d.(header + 8) <- !moves;
+    d.(header + 9) <- nt;
+    max_touches := max !max_touches nt
+  in
   let max_depth = ref 0 in
   let rec emit_stmt depth (s : Stmt.t) =
     match s with
-    | Stmt.Assign (lhs, rhs) ->
-      let n = Fexpr.flops rhs in
-      let is_move =
-        n = 0
-        &&
-        match rhs with
-        | Fexpr.Ref r -> is_register_ref r && is_register_ref lhs
-        | _ -> false
-      in
-      if is_move then Buf.push code op_move
-      else begin
-        Buf.push code op_flops;
-        Buf.push code n
-      end;
-      if compute then emit_fexpr 1 rhs else emit_touches rhs;
+    | Stmt.Assign (lhs, rhs) when compute ->
+      emit_op (assign_head lhs rhs);
+      emit_fexpr 1 rhs;
       emit_store lhs
-    | Stmt.Prefetch r ->
+    | Stmt.Prefetch r when compute ->
       let pl, offset = fold_offset r in
-      if pl.Exec.in_memory then
-        if compute then begin
-          Buf.push code op_prefh;
-          Buf.push code (intern_aff offset);
-          Buf.push code ((pl.Exec.base lsl 5) lor Sink.tag_prefetch)
-        end
-        else begin
-          Buf.push code op_touch;
-          Buf.push code
-            (intern_aff ~shift:5 ~tag:Sink.tag_prefetch ~base:pl.Exec.base
-               offset)
-        end
+      if pl.Exec.in_memory then begin
+        Buf.push code op_prefh;
+        Buf.push code (intern_aff offset);
+        Buf.push code ((pl.Exec.base lsl 5) lor Sink.tag_prefetch)
+      end
+    | Stmt.Assign _ | Stmt.Prefetch _ -> address_stmt emit_op s
     | Stmt.Loop l ->
-      max_depth := max !max_depth depth;
       (* The interpreter evaluates [hi] before [lo] at loop entry. *)
       let hi_pc = emit_bexp_prog l.Stmt.hi in
       let lo_pc = emit_bexp_prog l.Stmt.lo in
+      let innermost = is_innermost l.Stmt.body in
       let mark_id =
-        if marks && is_innermost l.Stmt.body then begin
+        if marks && innermost then begin
           mark_slot_lists := body_mark_slots l.Stmt.body :: !mark_slot_lists;
           incr n_marks;
           !n_marks - 1
         end
         else -1
       in
-      let loop_pc = Buf.length code in
-      Buf.push code op_loop;
-      Buf.push code (Hashtbl.find slot_of l.Stmt.var);
-      Buf.push code l.Stmt.step;
-      Buf.push code lo_pc;
-      Buf.push code hi_pc;
-      let end_patch = Buf.length code in
-      Buf.push code 0;
-      Buf.push code mark_id;
-      List.iter (emit_stmt (depth + 1)) l.Stmt.body;
-      Buf.push code op_end;
-      Buf.push code loop_pc;
-      (Buf.data code).(end_patch) <- Buf.length code
+      let slot = Hashtbl.find slot_of l.Stmt.var in
+      if innermost && not compute then
+        emit_iloop l ~slot ~lo_pc ~hi_pc ~mark_id
+      else begin
+        max_depth := max !max_depth depth;
+        let loop_pc = Buf.length code in
+        Buf.push code op_loop;
+        Buf.push code slot;
+        Buf.push code l.Stmt.step;
+        Buf.push code lo_pc;
+        Buf.push code hi_pc;
+        let end_patch = Buf.length code in
+        Buf.push code 0;
+        Buf.push code mark_id;
+        List.iter (emit_stmt (depth + 1)) l.Stmt.body;
+        Buf.push code op_end;
+        Buf.push code loop_pc;
+        (Buf.data code).(end_patch) <- Buf.length code
+      end
   in
   List.iter (emit_stmt 1) p.Program.body;
   Buf.push code op_halt;
@@ -382,6 +468,7 @@ let compile ?(compute = false) ?(marks = false) ?register_budget ~params
     spilled;
     mark_slots = Array.of_list (List.rev !mark_slot_lists);
     env = Array.make (max 1 (List.length loop_vars)) 0;
+    cur = Array.make (max 1 !max_touches) 0;
     f_slot = Array.make (max 1 !max_depth) 0;
     f_step = Array.make (max 1 !max_depth) 0;
     f_hi = Array.make (max 1 !max_depth) 0;
@@ -405,6 +492,76 @@ type run = {
   cut_marks : int;
 }
 
+(* The run-time helpers are top-level functions of [t], so a run
+   allocates no closures. *)
+
+(* Value of interned affine expression [j] under the current loop
+   variables. *)
+let eval_aff t j =
+  let env = t.env and aconst = t.aconst and acoef = t.acoef and aslot = t.aslot in
+  let o = Array.unsafe_get t.aoff j in
+  match Array.unsafe_get t.alen j with
+  | 0 -> Array.unsafe_get aconst j
+  | 1 ->
+    Array.unsafe_get aconst j
+    + (Array.unsafe_get acoef o * Array.unsafe_get env (Array.unsafe_get aslot o))
+  | 2 ->
+    Array.unsafe_get aconst j
+    + (Array.unsafe_get acoef o * Array.unsafe_get env (Array.unsafe_get aslot o))
+    + Array.unsafe_get acoef (o + 1)
+      * Array.unsafe_get env (Array.unsafe_get aslot (o + 1))
+  | n ->
+    let acc = ref (Array.unsafe_get aconst j) in
+    for k = o to o + n - 1 do
+      acc :=
+        !acc
+        + (Array.unsafe_get acoef k
+          * Array.unsafe_get env (Array.unsafe_get aslot k))
+    done;
+    !acc
+
+(* Loop bound: the RPN program at [start] in [bcode]. *)
+let eval_bexp t start =
+  let bcode = t.bcode and bstack = t.bstack in
+  let pc = ref start and sp = ref 0 in
+  let result = ref 0 in
+  let running = ref true in
+  while !running do
+    let op = Array.unsafe_get bcode !pc in
+    if op = b_aff then begin
+      bstack.(!sp) <- eval_aff t bcode.(!pc + 1);
+      incr sp;
+      pc := !pc + 2
+    end
+    else if op = b_ret then begin
+      result := bstack.(!sp - 1);
+      running := false
+    end
+    else if op = b_floormult then begin
+      let k = bcode.(!pc + 1) in
+      let v = bstack.(!sp - 1) in
+      bstack.(!sp - 1) <-
+        k * (if v >= 0 then v / k else -(((-v) + k - 1) / k));
+      pc := !pc + 2
+    end
+    else begin
+      let y = bstack.(!sp - 1) and x = bstack.(!sp - 2) in
+      bstack.(!sp - 2) <-
+        (if op = b_min then min x y else if op = b_max then max x y else x + y);
+      decr sp;
+      pc := !pc + 1
+    end
+  done;
+  !result
+
+let record_mark t mk ev mark_id =
+  Buf.push mk mark_id;
+  Buf.push mk ev.Buf.len;
+  let slots = t.mark_slots.(mark_id) in
+  for i = 0 to Array.length slots - 1 do
+    Buf.push mk t.env.(slots.(i))
+  done
+
 let run ?flop_budget ?warm_budget ?events ?marks t =
   let ev = match events with Some b -> Buf.clear b; b | None -> Buf.create () in
   let mk =
@@ -412,97 +569,31 @@ let run ?flop_budget ?warm_budget ?events ?marks t =
   in
   let budget = match flop_budget with None -> max_int | Some b -> b in
   let warm = match warm_budget with None -> max_int | Some w -> w in
-  let code = t.code and bcode = t.bcode in
-  let aconst = t.aconst
-  and aoff = t.aoff
-  and alen = t.alen
-  and aslot = t.aslot
-  and acoef = t.acoef in
-  let env = t.env in
+  let code = t.code and env = t.env in
   Array.fill env 0 (Array.length env) 0;
-  Array.iteri (fun i m -> Array.blit m 0 t.data.(i) 0 (Array.length m)) t.masters;
+  for i = 0 to Array.length t.masters - 1 do
+    Array.blit t.masters.(i) 0 t.data.(i) 0 (Array.length t.masters.(i))
+  done;
   let halt_pc = Array.length code - 1 in
-  let eval_aff j =
-    let o = Array.unsafe_get aoff j in
-    match Array.unsafe_get alen j with
-    | 0 -> Array.unsafe_get aconst j
-    | 1 ->
-      Array.unsafe_get aconst j
-      + (Array.unsafe_get acoef o * Array.unsafe_get env (Array.unsafe_get aslot o))
-    | 2 ->
-      Array.unsafe_get aconst j
-      + (Array.unsafe_get acoef o * Array.unsafe_get env (Array.unsafe_get aslot o))
-      + Array.unsafe_get acoef (o + 1)
-        * Array.unsafe_get env (Array.unsafe_get aslot (o + 1))
-    | n ->
-      let acc = ref (Array.unsafe_get aconst j) in
-      for k = o to o + n - 1 do
-        acc :=
-          !acc
-          + (Array.unsafe_get acoef k
-            * Array.unsafe_get env (Array.unsafe_get aslot k))
-      done;
-      !acc
-  in
-  let bstack = t.bstack in
-  let eval_bexp start =
-    let pc = ref start and sp = ref 0 in
-    let result = ref 0 in
-    let running = ref true in
-    while !running do
-      let op = Array.unsafe_get bcode !pc in
-      if op = b_aff then begin
-        bstack.(!sp) <- eval_aff bcode.(!pc + 1);
-        incr sp;
-        pc := !pc + 2
-      end
-      else if op = b_ret then begin
-        result := bstack.(!sp - 1);
-        running := false
-      end
-      else if op = b_floormult then begin
-        let k = bcode.(!pc + 1) in
-        let v = bstack.(!sp - 1) in
-        bstack.(!sp - 1) <-
-          k * (if v >= 0 then v / k else -(((-v) + k - 1) / k));
-        pc := !pc + 2
-      end
-      else begin
-        let y = bstack.(!sp - 1) and x = bstack.(!sp - 2) in
-        bstack.(!sp - 2) <-
-          (if op = b_min then min x y else if op = b_max then max x y else x + y);
-        decr sp;
-        pc := !pc + 1
-      end
-    done;
-    !result
-  in
   let f_slot = t.f_slot
   and f_step = t.f_step
   and f_hi = t.f_hi
   and f_body_pc = t.f_body_pc
   and f_mark = t.f_mark in
   let fstack = t.fstack and data = t.data and fconsts = t.fconsts in
+  let cur = t.cur in
   let sp = ref 0 and fsp = ref 0 in
   let flops = ref 0 and iters = ref 0 and moves = ref 0 in
   let completed = ref true in
   let cut_e = ref (-1) and cut_m = ref (-1) in
-  let record_mark mark_id =
-    Buf.push mk mark_id;
-    Buf.push mk ev.Buf.len;
-    let slots = t.mark_slots.(mark_id) in
-    for i = 0 to Array.length slots - 1 do
-      Buf.push mk env.(slots.(i))
-    done
-  in
   let pc = ref 0 in
   let running = ref true in
   while !running do
     let op = Array.unsafe_get code !pc in
     if op = op_touch then begin
       (* Hottest opcode: emit one pre-packed event. *)
-      let v = eval_aff (Array.unsafe_get code (!pc + 1)) in
-      if ev.Buf.len = Array.length ev.Buf.a then Buf.grow ev;
+      let v = eval_aff t (Array.unsafe_get code (!pc + 1)) in
+      if ev.Buf.len = Array.length ev.Buf.a then Buf.reserve ev 1;
       Array.unsafe_set ev.Buf.a ev.Buf.len v;
       ev.Buf.len <- ev.Buf.len + 1;
       pc := !pc + 2
@@ -527,7 +618,7 @@ let run ?flop_budget ?warm_budget ?events ?marks t =
         Array.unsafe_set env slot i;
         incr iters;
         let m = Array.unsafe_get f_mark f in
-        if m >= 0 then record_mark m;
+        if m >= 0 then record_mark t mk ev m;
         pc := Array.unsafe_get f_body_pc f
       end
       else begin
@@ -535,9 +626,117 @@ let run ?flop_budget ?warm_budget ?events ?marks t =
         pc := !pc + 2
       end
     end
+    else if op = op_iloop then begin
+      let at = !pc in
+      let hi = eval_bexp t code.(at + 4) in
+      let lo = eval_bexp t code.(at + 3) in
+      let next = code.(at + 6) in
+      if lo <= hi then begin
+        let slot = code.(at + 1) and step = code.(at + 2) in
+        let mark = code.(at + 5) in
+        let per_iter = code.(at + 7) and nt = code.(at + 9) in
+        let items = at + 10 and tinc = next - nt in
+        env.(slot) <- lo;
+        let k = ref 0 in
+        for q = items to tinc - 1 do
+          let item = code.(q) in
+          if item land 3 = item_touch then begin
+            cur.(!k) <- eval_aff t (item lsr 2);
+            incr k
+          end
+        done;
+        let i = ref lo and left = ref (((hi - lo) / step) + 1) in
+        while !left > 0 do
+          (* Flops only grow within an iteration, so the whole
+             iterations that end at or below the flop budget (and,
+             while the cut is unset, the warm budget) cross neither:
+             they run in bulk.  A count already above the limit (a
+             negative budget) leaves every iteration to the walk. *)
+          let limit = if !cut_e < 0 then min budget warm else budget in
+          let fit =
+            if !flops > limit then 0
+            else if per_iter = 0 then !left
+            else min !left ((limit - !flops) / per_iter)
+          in
+          if fit > 0 then begin
+            Buf.reserve ev (fit * nt);
+            let a = ev.Buf.a in
+            if mark < 0 then begin
+              (* Touch by touch: each value stays in a register and its
+                 slots [base + k + it * nt] are written in stride. *)
+              let base = ev.Buf.len in
+              for k = 0 to nt - 1 do
+                let v = ref (Array.unsafe_get cur k) in
+                let inc = Array.unsafe_get code (tinc + k) in
+                let p = ref (base + k) in
+                for _ = 1 to fit do
+                  Array.unsafe_set a !p !v;
+                  v := !v + inc;
+                  p := !p + nt
+                done;
+                Array.unsafe_set cur k !v
+              done;
+              ev.Buf.len <- base + (fit * nt);
+              i := !i + (fit * step)
+            end
+            else
+              (* Marked: iteration by iteration, each mark first. *)
+              for _ = 1 to fit do
+                env.(slot) <- !i;
+                record_mark t mk ev mark;
+                let pos = ev.Buf.len in
+                for k = 0 to nt - 1 do
+                  let v = Array.unsafe_get cur k in
+                  Array.unsafe_set a (pos + k) v;
+                  Array.unsafe_set cur k (v + Array.unsafe_get code (tinc + k))
+                done;
+                ev.Buf.len <- pos + nt;
+                i := !i + step
+              done;
+            flops := !flops + (fit * per_iter);
+            moves := !moves + (fit * code.(at + 8));
+            iters := !iters + fit;
+            left := !left - fit
+          end;
+          if !left > 0 then begin
+            (* The iteration that crosses a threshold, item by item. *)
+            env.(slot) <- !i;
+            incr iters;
+            if mark >= 0 then record_mark t mk ev mark;
+            let q = ref items and k = ref 0 in
+            while !q < tinc do
+              let item = code.(!q) in
+              let kind = item land 3 in
+              if kind = item_touch then begin
+                Buf.push ev cur.(!k);
+                cur.(!k) <- cur.(!k) + code.(tinc + !k);
+                incr k
+              end
+              else if kind = item_move then incr moves
+              else begin
+                flops := !flops + (item lsr 2);
+                if !flops > warm && !cut_e = -1 then begin
+                  cut_e := ev.Buf.len;
+                  cut_m := mk.Buf.len
+                end;
+                if !flops > budget then begin
+                  completed := false;
+                  q := tinc
+                end
+              end;
+              incr q
+            done;
+            i := !i + step;
+            left := if !completed then !left - 1 else 0
+          end
+        done;
+        if !completed then env.(slot) <- !i - step
+      end;
+      pc := if !completed then next else halt_pc
+    end
     else if op = op_loop then begin
-      let hi = eval_bexp code.(!pc + 4) in
-      let lo = eval_bexp code.(!pc + 3) in
+      let hi = eval_bexp t code.(!pc + 4) in
+      let lo = eval_bexp t code.(!pc + 3) in
       if lo > hi then pc := code.(!pc + 5)
       else begin
         let slot = code.(!pc + 1) in
@@ -551,7 +750,7 @@ let run ?flop_budget ?warm_budget ?events ?marks t =
         env.(slot) <- lo;
         incr iters;
         let m = code.(!pc + 6) in
-        if m >= 0 then record_mark m;
+        if m >= 0 then record_mark t mk ev m;
         pc := !pc + 7
       end
     end
@@ -561,27 +760,27 @@ let run ?flop_budget ?warm_budget ?events ?marks t =
     end
     else if op = op_halt then running := false
     else if op = op_floadh then begin
-      let o = eval_aff code.(!pc + 1) in
+      let o = eval_aff t code.(!pc + 1) in
       Buf.push ev (code.(!pc + 3) + (o lsl 5));
       fstack.(!fsp) <- Array.unsafe_get data.(code.(!pc + 2)) o;
       incr fsp;
       pc := !pc + 4
     end
     else if op = op_floadr then begin
-      let o = eval_aff code.(!pc + 1) in
+      let o = eval_aff t code.(!pc + 1) in
       fstack.(!fsp) <- Array.unsafe_get data.(code.(!pc + 2)) o;
       incr fsp;
       pc := !pc + 3
     end
     else if op = op_fstoreh then begin
-      let o = eval_aff code.(!pc + 1) in
+      let o = eval_aff t code.(!pc + 1) in
       Buf.push ev (code.(!pc + 3) + (o lsl 5));
       decr fsp;
       Array.unsafe_set data.(code.(!pc + 2)) o fstack.(!fsp);
       pc := !pc + 4
     end
     else if op = op_fstorer then begin
-      let o = eval_aff code.(!pc + 1) in
+      let o = eval_aff t code.(!pc + 1) in
       decr fsp;
       Array.unsafe_set data.(code.(!pc + 2)) o fstack.(!fsp);
       pc := !pc + 3
@@ -596,7 +795,7 @@ let run ?flop_budget ?warm_budget ?events ?marks t =
       pc := !pc + 1
     end
     else if op = op_prefh then begin
-      let o = eval_aff code.(!pc + 1) in
+      let o = eval_aff t code.(!pc + 1) in
       Buf.push ev (code.(!pc + 2) + (o lsl 5));
       pc := !pc + 3
     end

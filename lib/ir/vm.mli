@@ -4,7 +4,8 @@
     once into a flat int-array bytecode — strides, parameter terms and
     array bases folded into per-reference affine tables, loop bounds
     into small RPN programs — and {!run} executes it in a tight
-    dispatch loop.  The closure interpreter in {!Exec} remains the
+    dispatch loop (innermost loops in address-only mode run from
+    strength-reduced descriptors instead; see {!run}).  The closure interpreter in {!Exec} remains the
     reference semantics; the VM is validated against it bit-for-bit
     (see the [vm] test suite) and exists purely to make repeated
     measurement cheap.
@@ -86,7 +87,20 @@ type run = {
 (** [run ?flop_budget ?warm_budget ?events ?marks t] executes the
     compiled program, with {!Exec.run}'s exact flop-budget semantics
     (graceful stop, [completed = false]).  [events] and [marks] are
-    cleared and refilled; fresh buffers are allocated when omitted. *)
+    cleared and refilled; fresh buffers are allocated when omitted.
+
+    In address-only mode an innermost loop has no bytecode: {!compile}
+    builds a descriptor of its body (flop counts, register moves and
+    touches in order, each touch with its per-iteration address
+    increment).  At loop entry [run] evaluates each touch's address
+    once, then emits in bulk, without per-event dispatch, every whole
+    iteration that keeps the flop count within [flop_budget] and, while
+    the warm cut is unset, within [warm_budget].  The one iteration
+    that crosses a budget walks the descriptor item by item, so the
+    stop, [cut_events], [cut_marks] and the stats are exactly the
+    interpreter's.  With [~marks:true] each iteration still records its
+    mark.  Into buffers that are already large enough, a run allocates
+    only its result. *)
 val run :
   ?flop_budget:int ->
   ?warm_budget:int ->

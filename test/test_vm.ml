@@ -141,6 +141,218 @@ let test_random_pipelines_differential () =
       done)
     all_kernels
 
+(* --- flop and warm budgets at innermost-iteration boundaries --- *)
+
+(* Flop counts at the end of every innermost-loop iteration, plus 0
+   (before the first), by a direct walk of the program with the
+   interpreter's loop semantics. *)
+let iteration_boundaries ~params (p : Ir.Program.t) =
+  let env = Hashtbl.create 8 in
+  List.iter (fun (x, v) -> Hashtbl.replace env x v) params;
+  let lookup = Hashtbl.find env in
+  let flops = ref 0 and acc = ref [ 0 ] in
+  let rec go = function
+    | Ir.Stmt.Assign (_, rhs) -> flops := !flops + Ir.Fexpr.flops rhs
+    | Ir.Stmt.Prefetch _ -> ()
+    | Ir.Stmt.Loop l ->
+      let innermost =
+        not
+          (List.exists
+             (function Ir.Stmt.Loop _ -> true | _ -> false)
+             l.Ir.Stmt.body)
+      in
+      let hi = Ir.Bexp.eval lookup l.Ir.Stmt.hi in
+      let i = ref (Ir.Bexp.eval lookup l.Ir.Stmt.lo) in
+      while !i <= hi do
+        Hashtbl.replace env l.Ir.Stmt.var !i;
+        List.iter go l.Ir.Stmt.body;
+        if innermost then acc := !flops :: !acc;
+        i := !i + l.Ir.Stmt.step
+      done
+  in
+  List.iter go p.Ir.Program.body;
+  List.sort_uniq compare !acc
+
+(* Flop budgets one below and one above each boundary. *)
+let boundary_budgets ~params p =
+  List.sort_uniq compare
+    (List.concat_map (fun b -> [ b - 1; b + 1 ]) (iteration_boundaries ~params p))
+
+(* At every boundary budget [b], plain and marked VMs against the
+   closure interpreter: a flop budget [b] stops where the interpreter
+   stops; a warm budget [b] cuts where an interpreter run at flop
+   budget [b] ends, and leaves the stream and stats of the full run;
+   both at once cut at the stop. *)
+let budget_sweep ?register_budget ~params ctx program =
+  let full, full_events = closure_events ?register_budget ~params program in
+  let vms =
+    [
+      ("fast", Vm.compile ?register_budget ~params program);
+      ("marks", Vm.compile ~marks:true ?register_budget ~params program);
+    ]
+  in
+  List.iter
+    (fun b ->
+      let stopped, stopped_events =
+        closure_events ~flop_budget:b ?register_budget ~params program
+      in
+      let cut = Array.length stopped_events in
+      List.iter
+        (fun (mode, vm) ->
+          let ctx = Printf.sprintf "%s [%s] b=%d" ctx mode b in
+          let check ctx (closure, expected) ~cut_events (r : Vm.run) =
+            check_stats ctx closure.Exec.stats r.Vm.stats;
+            check_events ctx expected r.Vm.events r.Vm.n_events;
+            check_int (ctx ^ ": cut") cut_events r.Vm.cut_events
+          in
+          check (ctx ^ " budget") (stopped, stopped_events) ~cut_events:(-1)
+            (Vm.run ~flop_budget:b vm);
+          check (ctx ^ " warm") (full, full_events) ~cut_events:cut
+            (Vm.run ~warm_budget:b vm);
+          check (ctx ^ " both") (stopped, stopped_events) ~cut_events:cut
+            (Vm.run ~flop_budget:b ~warm_budget:b vm))
+        vms)
+    (boundary_budgets ~params program)
+
+(* Innermost bodies the kernels lack: step > 1 with a negative
+   coefficient, zero-trip (triangular) loops, a touch-free body of
+   register flops and moves, and a prefetch-only body. *)
+let edge_programs =
+  let open Ir in
+  let x i j = Reference.make "x" [ i; j ] and y j = Reference.make "y" [ j ] in
+  let v = Aff.var and c = Aff.const in
+  let n1 = Aff.add_const (v "n") (-1) in
+  let r name = Reference.scalar name in
+  let decls =
+    [
+      Decl.heap "x" [ v "n"; Aff.add_const (v "n") 8 ];
+      Decl.heap "y" [ Aff.add_const (v "n") 8 ];
+      Decl.register "r0";
+      Decl.register "r1";
+    ]
+  in
+  let make name body = Program.make ~name ~params:[ "n" ] ~decls body in
+  let row_update i = Stmt.assign (x i (c 0)) Fexpr.(ref_ (x i (c 0)) + const 1.0) in
+  [
+    make "step"
+      [
+        Stmt.loop_aff ~step:2 "i" ~lo:(c 0) ~hi:n1
+          [
+            Stmt.loop_aff ~step:3 "j" ~lo:(c 1) ~hi:n1
+              [
+                Stmt.assign (x (v "i") (v "j"))
+                  Fexpr.(ref_ (x (v "i") (v "j")) * ref_ (y (Aff.sub n1 (v "j"))));
+                Stmt.Prefetch (y (Aff.add_const (v "j") 4));
+              ];
+          ];
+      ];
+    make "zero-trip"
+      [
+        Stmt.loop_aff "i" ~lo:(c 0) ~hi:n1
+          [
+            Stmt.loop_aff "j" ~lo:(c 0) ~hi:(Aff.add_const (v "i") (-1))
+              [
+                Stmt.assign (x (v "i") (v "j"))
+                  Fexpr.(ref_ (x (v "j") (v "i")) + ref_ (y (v "j")));
+              ];
+            row_update (v "i");
+          ];
+      ];
+    make "touch-free"
+      [
+        Stmt.loop_aff "i" ~lo:(c 0) ~hi:n1
+          [
+            Stmt.loop_aff "j" ~lo:(c 0) ~hi:n1
+              [
+                Stmt.assign (r "r0") Fexpr.((ref_ (r "r0") * ref_ (r "r1")) + const 1.0);
+                Stmt.assign (r "r1") (Fexpr.ref_ (r "r0"));
+              ];
+            Stmt.assign (y (v "i")) (Fexpr.ref_ (r "r1"));
+          ];
+      ];
+    make "prefetch-only"
+      [
+        Stmt.loop_aff "i" ~lo:(c 0) ~hi:n1
+          [
+            Stmt.loop_aff "j" ~lo:(c 0) ~hi:n1
+              [ Stmt.Prefetch (x (v "i") (Aff.add_const (v "j") 4)) ];
+            row_update (v "i");
+          ];
+      ];
+  ]
+
+let test_budget_boundaries () =
+  List.iter
+    (fun program ->
+      List.iter
+        (fun n ->
+          budget_sweep ~params:[ ("n", n) ]
+            (Printf.sprintf "%s n=%d" program.Ir.Program.name n)
+            program)
+        [ 1; 5 ])
+    edge_programs;
+  List.iter
+    (fun (kernel : Kernel.t) ->
+      let rng = Rng.of_list [ Rng.hash_string kernel.Kernel.name; 15 ] in
+      let small () = kernel.Kernel.min_size + Rng.int rng 3 in
+      List.iter
+        (fun v ->
+          let n = small () in
+          match Gen.point rng ~n v with
+          | None -> ()
+          | Some bindings -> (
+            match Core.Variant.instantiate v ~bindings with
+            | program ->
+              budget_sweep ~params:(Kernel.params kernel n)
+                (kernel.Kernel.name ^ "/" ^ v.Core.Variant.name)
+                program
+            | exception Invalid_argument _ -> ()))
+        (Core.Derive.variants machine kernel);
+      for trial = 0 to 2 do
+        let n = small () in
+        match Pipe.apply kernel (Gen.pipeline rng ~n kernel) with
+        | exception Invalid_argument _ -> ()
+        | program ->
+          budget_sweep ~register_budget:8 ~params:(Kernel.params kernel n)
+            (Printf.sprintf "%s pipe %d" kernel.Kernel.name trial)
+            program
+      done)
+    all_kernels
+
+(* After one sizing run, [Vm.run] into the same buffers adds under 1
+   minor word per 1000 events: plain and marked, whole and cut by warm
+   and flop budgets (jacobi3d n=24, as the replay allocation test). *)
+let test_run_allocation_free () =
+  let kernel = Kernels.Jacobi3d.kernel in
+  let n = 24 in
+  let params = Kernel.params kernel n in
+  let register_budget = Machine.available_registers Machine.sgi_r10000_mini in
+  let events = Vm.Buf.create () and marks = Vm.Buf.create () in
+  let budget = kernel.Kernel.flops n / 2 in
+  List.iter
+    (fun marked ->
+      let vm =
+        Vm.compile ~marks:marked ~register_budget ~params kernel.Kernel.program
+      in
+      List.iter
+        (fun (what, flop_budget, warm_budget) ->
+          let run () = Vm.run ?flop_budget ?warm_budget ~events ~marks vm in
+          ignore (run ());
+          let before = Gc.minor_words () in
+          let r = run () in
+          let words = Gc.minor_words () -. before in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s%s: %.0f minor words over %d events" what
+               (if marked then " marked" else "")
+               words r.Vm.n_events)
+            true
+            (words *. 1000.0 < float_of_int r.Vm.n_events))
+        [
+          ("whole", None, None);
+          ("cut", Some budget, Some (budget / 2));
+        ])
+    [ false; true ]
+
 (* --- warm-up cut position --- *)
 
 (* The VM's [cut_events] must equal the event count of a separate
@@ -209,12 +421,24 @@ let test_replay_packed_vs_sink () =
 (* --- demand-trace prefetch synthesis --- *)
 
 (* Synthesized streams must match executing the transformed program,
-   for single- and multi-array plans, and must reproduce its warm cut. *)
+   for single- and multi-array plans, and must reproduce its warm cut —
+   also at flop budgets one below and one above every innermost-
+   iteration boundary, where the marked capture stops or cuts on the
+   crossing iteration. *)
 let test_prefetch_synthesis () =
   let line = Machine.line_elems machine 0 in
   let register_budget = Machine.available_registers machine in
+  let half (kernel : Kernel.t) n =
+    [ Core.Executor.Full; Core.Executor.Budget (max 2 (kernel.Kernel.flops n / 2)) ]
+  in
+  let boundaries (kernel : Kernel.t) n =
+    List.map
+      (fun b -> Core.Executor.Budget b)
+      (boundary_budgets ~params:(Kernel.params kernel n) kernel.Kernel.program)
+  in
+  let matmul = Kernels.Matmul.kernel and jacobi3d = Kernels.Jacobi3d.kernel in
   List.iter
-    (fun ((kernel : Kernel.t), n) ->
+    (fun ((kernel : Kernel.t), n, modes) ->
       let params = Kernel.params kernel n in
       let program = kernel.Kernel.program in
       let arrays = Transform.Prefetch_insert.candidates program in
@@ -266,9 +490,13 @@ let test_prefetch_synthesis () =
                 (Vm.Buf.data buf) (Vm.Buf.length buf);
               check_int (ctx ^ ": cut") r.Vm.cut_events cut)
             plans)
-        [ Core.Executor.Full;
-          Core.Executor.Budget (max 2 (kernel.Kernel.flops n / 2)) ])
-    [ (Kernels.Matmul.kernel, 16); (Kernels.Jacobi3d.kernel, 8) ]
+        modes)
+    [
+      (matmul, 16, half matmul 16);
+      (jacobi3d, 8, half jacobi3d 8);
+      (matmul, 4, boundaries matmul 4);
+      (jacobi3d, 6, boundaries jacobi3d 6);
+    ]
 
 (* --- executor: fast path vs closures --- *)
 
@@ -480,6 +708,10 @@ let suite =
       test_variants_differential;
     Alcotest.test_case "random pipelines: vm = interpreter" `Quick
       test_random_pipelines_differential;
+    Alcotest.test_case "budget boundaries: vm = interpreter" `Quick
+      test_budget_boundaries;
+    Alcotest.test_case "vm run allocates nothing per event" `Quick
+      test_run_allocation_free;
     Alcotest.test_case "warm cut = closure warm prefix" `Quick
       test_warm_cut_matches_closure_prefix;
     Alcotest.test_case "replay_packed = sink replay" `Quick
