@@ -158,7 +158,7 @@ let load_db ?(lock = false) cmd file =
 
 let tune machine kernel n budget jobs objective prefilter profile closures
     validate faults_spec trials retries checkpoint checkpoint_every die_after
-    db_file no_warm_start sample incremental confirm timeout =
+    db_file no_warm_start sample incremental timeout =
   let mode = mode_of_budget budget in
   let path =
     if closures then Core.Executor.Closures else Core.Executor.Fast
@@ -191,12 +191,6 @@ let tune machine kernel n budget jobs objective prefilter profile closures
   in
   Core.Engine.set_sampling engine sampling;
   Core.Engine.set_incremental engine incremental;
-  (match confirm with
-  | Some k when k < 1 ->
-    Format.eprintf "eco tune: --confirm must be at least 1@.";
-    exit 2
-  | _ -> ());
-  Core.Engine.set_confirm_override engine confirm;
   let db =
     match db_file with
     | None -> None
@@ -229,15 +223,12 @@ let tune machine kernel n budget jobs objective prefilter profile closures
   if faults.Faults.active then
     Format.printf "faults:       %s (trials=%d, retries=%d)@."
       (Faults.to_spec faults) trials retries;
-  if sampling <> None || incremental || confirm <> None then
-    Format.printf "replay:       sample=%s, incremental=%s, confirm=%s@."
+  if sampling <> None || incremental then
+    Format.printf "replay:       sample=%s, incremental=%s@."
       (match sampling with
       | Some sp -> Memsim.Sampling.to_string sp
       | None -> "off")
-      (if incremental then "on" else "off")
-      (match confirm with
-      | Some k -> string_of_int k
-      | None -> "adaptive");
+      (if incremental then "on" else "off");
   (match timeout with
   | Some t when t > 0.0 ->
     Core.Engine.set_deadline engine (Some (Unix.gettimeofday () +. t))
@@ -509,19 +500,6 @@ let tune_cmd =
              No effect with --closures, which measures every candidate on \
              its own.")
   in
-  let confirm_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "confirm" ] ~docv:"K"
-          ~doc:
-            "With --sample, confirm exactly the top K leaderboard \
-             candidates before declaring the winner (min 1) instead of the \
-             adaptive policy, which starts from the full leaderboard and \
-             shrinks the confirm set as the sampled estimator proves its \
-             ranking on the kernel.  The winner is re-measured exactly \
-             either way.")
-  in
   let timeout_arg =
     Arg.(
       value
@@ -541,8 +519,7 @@ let tune_cmd =
       $ jobs_arg $ objective_arg $ prefilter_arg $ profile_arg $ closures_arg
       $ validate_arg $ faults_arg $ trials_arg $ retries_arg $ checkpoint_arg
       $ checkpoint_every_arg $ die_after_arg $ db_arg $ no_warm_start_arg
-      $ sample_arg $ incremental_arg $ confirm_arg
-      $ timeout_arg)
+      $ sample_arg $ incremental_arg $ timeout_arg)
 
 (* --- check --- *)
 

@@ -118,7 +118,7 @@ rm -f ci_batched.txt ci_closures.txt ci_closures3.txt ci_exact_op.txt ci_sampled
 
 # End-to-end sampled wall-time gate at a search-scale budget: with
 # shrink=4 sampling, incremental repricing and the adaptive
-# confirmation policy (no --confirm override), the sampled search must
+# confirmation policy, the sampled search must
 # finish the b=800k matmul tune at least 2.5x faster than the exact
 # search (measured ~3.3x; the slack absorbs machine noise) while the
 # reported winner — always re-measured exactly — stays within 2% of
@@ -179,9 +179,10 @@ ECO_FAST=1 dune exec bin/eco_cli.exe -- experiment rankcheck | grep "fewer"
 
 # --- Fault-tolerant measurement protocol ---------------------------------
 
-# Reference answer for the robustness checks below.
-dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 \
-  | grep -E "^(best variant|parameters|prefetch|performance):" > ci_clean.txt
+# Reference answer (and engine work) for the robustness checks below.
+dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 > ci_clean_full.txt
+grep -E "^(best variant|parameters|prefetch|performance):" ci_clean_full.txt \
+  > ci_clean.txt
 
 # Value-preserving faults (transients + hangs, zero timing noise): the
 # retry protocol must absorb every injected failure and reproduce the
@@ -201,7 +202,9 @@ dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 \
 
 # Crash-only search: a tune killed mid-run (simulated SIGKILL after 40
 # fresh evaluations; periodic checkpoints only) must resume from its
-# checkpoint and land on the identical final answer.
+# checkpoint and land on the identical final answer, with the clean
+# run's lifetime work on its engine: line (restored + finished fresh
+# evaluations and simulated cycles).
 rm -f ci_ck.bin
 set +e
 dune exec bin/eco_cli.exe -- tune -k matmul -n 64 -b 100000 \
@@ -215,7 +218,15 @@ grep -q "^resumed:" ci_resumed_full.txt
 grep -E "^(best variant|parameters|prefetch|performance):" ci_resumed_full.txt \
   > ci_resumed.txt
 cmp ci_clean.txt ci_resumed.txt
-rm -f ci_ck.bin ci_clean.txt ci_faulty.txt ci_resumed.txt ci_resumed_full.txt
+engine_work() {
+  sed -nE 's/^engine: +([0-9]+) fresh evaluations,.* ([0-9]+) simulated cycles.*/\1 \2/p' "$1"
+}
+engine_work ci_clean_full.txt > ci_clean_work.txt
+engine_work ci_resumed_full.txt > ci_resumed_work.txt
+test -s ci_clean_work.txt
+cmp ci_clean_work.txt ci_resumed_work.txt
+rm -f ci_ck.bin ci_clean.txt ci_clean_full.txt ci_faulty.txt ci_resumed.txt \
+  ci_resumed_full.txt ci_clean_work.txt ci_resumed_work.txt
 
 # Protocol overhead benchmark: a zero-rate fault plan with 3 trials
 # must cost <5% on evaluation time and find the same winners.  (Under

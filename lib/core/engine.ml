@@ -64,42 +64,83 @@ let default_protocol =
     min_trials = 2;
   }
 
+(* Cumulative engine-lifetime telemetry.  The engine mutates one of
+   these in place; [stats] hands out copies, and a checkpoint persists
+   it whole. *)
 type stats = {
-  hits : int;
-  fresh : int;
-  pruned : int;
-  prefiltered : int;
-  model_evals : int;
-  model_seconds : float;
-  failed : int;
-  failed_infeasible : int;
-  failed_malformed : int;
-  failed_transient : int;
-  failed_timeout : int;
-  failed_quarantined : int;
-  retries : int;
-  trials_run : int;
-  early_stops : int;
-  vm_fallbacks : int;
-  simulated_cycles : float;
-  eval_seconds : float;
-  compile_seconds : float;
-  exec_seconds : float;
-  sim_seconds : float;
-  memo_seconds : float;
-  trace_hits : int;
-  trace_fills : int;
-  fill_seconds : float;
-  db_hits : int;
-  warm_starts : int;
-  sampled : int;
-  batched_groups : int;
-  batched_candidates : int;
-  repriced : int;
-  repriced_joint : int;
-  confirmed : int;
-  confirm_skipped : int;
+  mutable hits : int;
+  mutable fresh : int;
+  mutable pruned : int;
+  mutable prefiltered : int;
+  mutable model_evals : int;
+  mutable model_seconds : float;
+  mutable failed : int;
+  mutable failed_infeasible : int;
+  mutable failed_malformed : int;
+  mutable failed_transient : int;
+  mutable failed_timeout : int;
+  mutable failed_quarantined : int;
+  mutable retries : int;
+  mutable trials_run : int;
+  mutable early_stops : int;
+  mutable vm_fallbacks : int;
+  mutable simulated_cycles : float;
+  mutable eval_seconds : float;
+  mutable compile_seconds : float;
+  mutable exec_seconds : float;
+  mutable sim_seconds : float;
+  mutable memo_seconds : float;
+  mutable trace_hits : int;
+  mutable trace_fills : int;
+  mutable fill_seconds : float;
+  mutable db_hits : int;
+  mutable warm_starts : int;
+  mutable sampled : int;
+  mutable batched_groups : int;
+  mutable batched_candidates : int;
+  mutable repriced : int;
+  mutable repriced_joint : int;
+  mutable confirmed : int;
+  mutable confirm_skipped : int;
 }
+
+let zero_stats () =
+  {
+    hits = 0;
+    fresh = 0;
+    pruned = 0;
+    prefiltered = 0;
+    model_evals = 0;
+    model_seconds = 0.0;
+    failed = 0;
+    failed_infeasible = 0;
+    failed_malformed = 0;
+    failed_transient = 0;
+    failed_timeout = 0;
+    failed_quarantined = 0;
+    retries = 0;
+    trials_run = 0;
+    early_stops = 0;
+    vm_fallbacks = 0;
+    simulated_cycles = 0.0;
+    eval_seconds = 0.0;
+    compile_seconds = 0.0;
+    exec_seconds = 0.0;
+    sim_seconds = 0.0;
+    memo_seconds = 0.0;
+    trace_hits = 0;
+    trace_fills = 0;
+    fill_seconds = 0.0;
+    db_hits = 0;
+    warm_starts = 0;
+    sampled = 0;
+    batched_groups = 0;
+    batched_candidates = 0;
+    repriced = 0;
+    repriced_joint = 0;
+    confirmed = 0;
+    confirm_skipped = 0;
+  }
 
 (* The canonical identity of a measurement.  [fp_shape] is a structural
    digest of the variant recipe, so two variants that happen to share a
@@ -148,8 +189,8 @@ type t = {
   mutable eval_limit : int option;
   (* Cooperative interruption (the autotuning service's cancel tokens,
      per-request deadlines and watchdog ride on these):
-     [poll] runs after every fresh evaluation and at every batch
-     boundary and may raise to abort the search; [yield_hook] runs at
+     [poll] runs after every fresh evaluation and on entry to every
+     evaluation and may raise to abort the search; [yield_hook] runs at
      batch boundaries only — the engine is quiescent there, so a
      scheduler may suspend the whole search and run another one on the
      same engine; [deadline] is an absolute wall-clock instant past
@@ -168,31 +209,8 @@ type t = {
   mutable prefilter : int option;
   (* prepared model analyses, keyed by (variant shape digest, n) *)
   preds : (string * int, Predict.prepared) Hashtbl.t;
-  mutable hits : int;
-  mutable fresh : int;
-  mutable pruned : int;
-  mutable prefiltered : int;
-  mutable model_evals : int;
-  mutable model_seconds : float;
-  mutable failed : int;
-  mutable failed_infeasible : int;
-  mutable failed_malformed : int;
-  mutable failed_transient : int;
-  mutable failed_timeout : int;
-  mutable failed_quarantined : int;
-  mutable retries : int;
-  mutable trials_run : int;
-  mutable early_stops : int;
-  mutable vm_fallbacks : int;
-  mutable simulated_cycles : float;
-  mutable eval_seconds : float;
-  mutable compile_seconds : float;
-  mutable exec_seconds : float;
-  mutable sim_seconds : float;
-  mutable memo_seconds : float;
-  mutable trace_hits : int;
-  mutable trace_fills : int;
-  mutable fill_seconds : float;
+  (* the live telemetry; replaced whole only by [load_checkpoint] *)
+  mutable counters : stats;
   (* Persistent performance database: exact hits served from disk like
      memo hits (but surviving across runs), fresh successful
      measurements appended back.  [db_ctx] pins everything outside the
@@ -203,8 +221,6 @@ type t = {
   mutable db : Perfdb.t option;
   mutable db_warm : bool;
   mutable db_ctx : string;
-  mutable db_hits : int;
-  mutable warm_starts : int;
   (* Sampled / incremental replay (two of the three evaluator tiers of
      DESIGN.md section 12; the third, batched replay, is always on for
      the fast path).  [sampling] turns fast-path measurements into
@@ -213,19 +229,10 @@ type t = {
      slacks. *)
   mutable sampling : Memsim.Sampling.t option;
   mutable incremental : bool;
-  mutable sampled : int;
-  mutable batched_groups : int;
-  mutable batched_candidates : int;
-  mutable repriced : int;
-  mutable repriced_joint : int;
-  (* Adaptive confirmation (Search.confirm_best): exact leaderboard
-     confirms performed / skipped, the [--confirm] override, and the
-     observed estimator rank quality per kernel on this machine —
-     (separated pairs, inversions) between estimate order and the
-     exact confirms already performed. *)
-  mutable confirmed : int;
-  mutable confirm_skipped : int;
-  mutable confirm_override : int option;
+  (* Adaptive confirmation (Search.confirm_best): the observed
+     estimator rank quality per kernel on this machine — (separated
+     pairs, inversions) between estimate order and the exact confirms
+     already performed. *)
   rank_stats : (string, int * int) Hashtbl.t;
 }
 
@@ -266,52 +273,17 @@ let create ?(jobs = 1) ?(path = Executor.Fast) ?(faults = Faults.none)
     objective;
     prefilter;
     preds = Hashtbl.create 16;
-    hits = 0;
-    fresh = 0;
-    pruned = 0;
-    prefiltered = 0;
-    model_evals = 0;
-    model_seconds = 0.0;
-    failed = 0;
-    failed_infeasible = 0;
-    failed_malformed = 0;
-    failed_transient = 0;
-    failed_timeout = 0;
-    failed_quarantined = 0;
-    retries = 0;
-    trials_run = 0;
-    early_stops = 0;
-    vm_fallbacks = 0;
-    simulated_cycles = 0.0;
-    eval_seconds = 0.0;
-    compile_seconds = 0.0;
-    exec_seconds = 0.0;
-    sim_seconds = 0.0;
-    memo_seconds = 0.0;
-    trace_hits = 0;
-    trace_fills = 0;
-    fill_seconds = 0.0;
+    counters = zero_stats ();
     db = None;
     db_warm = false;
     db_ctx = "";
-    db_hits = 0;
-    warm_starts = 0;
     sampling = None;
     incremental = false;
-    sampled = 0;
-    batched_groups = 0;
-    batched_candidates = 0;
-    repriced = 0;
-    repriced_joint = 0;
-    confirmed = 0;
-    confirm_skipped = 0;
-    confirm_override = None;
     rank_stats = Hashtbl.create 4;
   }
 
 let machine t = t.machine
 let jobs t = t.jobs
-let path t = t.path
 let faults t = t.faults
 let protocol t = t.protocol
 let objective t = t.objective
@@ -324,18 +296,11 @@ let default_prefilter = 4
 
 let sampling t = t.sampling
 let set_sampling t sp = t.sampling <- sp
-let incremental t = t.incremental
 let set_incremental t b = t.incremental <- b
 
 (* Adaptive confirmation plumbing: [Search.confirm_best] owns the
-   policy; the engine owns the per-kernel rank-quality evidence and the
-   [--confirm] override so they persist across the per-variant search
-   states of one run. *)
-let confirm_override t = t.confirm_override
-
-let set_confirm_override t k =
-  t.confirm_override <- (match k with Some k -> Some (max 1 k) | None -> None)
-
+   policy; the engine owns the per-kernel rank-quality evidence so it
+   persists across the per-variant search states of one run. *)
 let rank_quality t ~kernel =
   match Hashtbl.find_opt t.rank_stats kernel with
   | Some pq -> pq
@@ -351,43 +316,10 @@ let record_rank_sample t ~kernel ~pairs ~inversions =
    the exact differential reference and ignores it. *)
 let engine_sampling t = if t.path = Executor.Fast then t.sampling else None
 
+(* A snapshot: a fresh record, so later evaluation never moves it. *)
 let stats t =
-  {
-    hits = t.hits;
-    fresh = t.fresh;
-    pruned = t.pruned;
-    prefiltered = t.prefiltered;
-    model_evals = t.model_evals;
-    model_seconds = t.model_seconds;
-    failed = t.failed;
-    failed_infeasible = t.failed_infeasible;
-    failed_malformed = t.failed_malformed;
-    failed_transient = t.failed_transient;
-    failed_timeout = t.failed_timeout;
-    failed_quarantined = t.failed_quarantined;
-    retries = t.retries;
-    trials_run = t.trials_run;
-    early_stops = t.early_stops;
-    vm_fallbacks = t.vm_fallbacks;
-    simulated_cycles = t.simulated_cycles;
-    eval_seconds = t.eval_seconds;
-    compile_seconds = t.compile_seconds;
-    exec_seconds = t.exec_seconds;
-    sim_seconds = t.sim_seconds;
-    memo_seconds = t.memo_seconds;
-    trace_hits = t.trace_hits;
-    trace_fills = t.trace_fills;
-    fill_seconds = t.fill_seconds;
-    db_hits = t.db_hits;
-    warm_starts = t.warm_starts;
-    sampled = t.sampled;
-    batched_groups = t.batched_groups;
-    batched_candidates = t.batched_candidates;
-    repriced = t.repriced;
-    repriced_joint = t.repriced_joint;
-    confirmed = t.confirmed;
-    confirm_skipped = t.confirm_skipped;
-  }
+  let c = t.counters in
+  { c with hits = c.hits }
 
 let failure_breakdown (s : stats) =
   List.filter
@@ -550,16 +482,14 @@ let set_db t ?(warm_start = true) db =
 
 let db t = t.db
 
-let clear_db t =
-  t.db <- None;
-  t.db_warm <- false
-
-(* Quarantine the store: detach it, remember why (first failure wins),
-   keep serving from the in-memory memo.  Called on the first database
-   I/O failure — and by the autotuning daemon when a shared store turns
-   out corrupt at load time. *)
+(* Quarantine the store: detach it (and disable warm-starting),
+   remember why (first failure wins), keep serving from the in-memory
+   memo.  Called on the first database I/O failure — and by the
+   autotuning daemon when a shared store turns out corrupt at load
+   time. *)
 let degrade_db t reason =
-  clear_db t;
+  t.db <- None;
+  t.db_warm <- false;
   if t.db_degraded = None then t.db_degraded <- Some reason
 
 let db_degraded t = t.db_degraded
@@ -569,11 +499,12 @@ let warm_db t = if t.db_warm then t.db else None
 
 (* Everything in the engine's configuration that shapes an answer,
    plus the tuned problem.  The string keys persisted checkpoints, so
-   its format is frozen: [batch=on] stays a literal from when batched
-   replay could be switched off. *)
+   its format is frozen: [batch=on] and [confirm=adaptive] stay
+   literals from when batched replay could be switched off and the
+   confirm-set size overridden. *)
 let run_tag t ~(kernel : Kernels.Kernel.t) ~n ~budget =
   Printf.sprintf
-    "tune|m=%s|k=%s|n=%d|b=%d|path=%s|faults=%s|trials=%d|retries=%d|obj=%s|pf=%s|db=%s|sample=%s|batch=on|incr=%s|confirm=%s"
+    "tune|m=%s|k=%s|n=%d|b=%d|path=%s|faults=%s|trials=%d|retries=%d|obj=%s|pf=%s|db=%s|sample=%s|batch=on|incr=%s|confirm=adaptive"
     t.machine.Machine.name kernel.Kernels.Kernel.name n budget
     (match t.path with Executor.Fast -> "fast" | Executor.Closures -> "closures")
     (Faults.to_spec t.faults) t.protocol.trials t.protocol.max_retries
@@ -586,12 +517,9 @@ let run_tag t ~(kernel : Kernels.Kernel.t) ~n ~budget =
     | Some sp -> Memsim.Sampling.to_string sp
     | None -> "off")
     (if t.incremental then "on" else "off")
-    (match t.confirm_override with
-    | Some k -> string_of_int k
-    | None -> "adaptive")
 
 let note_warm_start t ?log () =
-  t.warm_starts <- t.warm_starts + 1;
+  t.counters.warm_starts <- t.counters.warm_starts + 1;
   match log with Some log -> Search_log.note_warm_start log | None -> ()
 
 let db_key t fp = Digest.to_hex (Digest.string (t.db_ctx ^ "||" ^ fault_key fp))
@@ -621,8 +549,9 @@ let model_score t (r : request) =
     | s -> s
     | exception _ -> neg_infinity
   in
-  t.model_evals <- t.model_evals + 1;
-  t.model_seconds <- t.model_seconds +. (Unix_time.now () -. t0);
+  let c = t.counters in
+  c.model_evals <- c.model_evals + 1;
+  c.model_seconds <- c.model_seconds +. (Unix_time.now () -. t0);
   s
 
 (* Insert a prefetch plan into a demand program; raises
@@ -665,7 +594,7 @@ let db_serve t ?log (r : request) fp =
         | None -> None
         | Some program ->
           Hashtbl.replace t.memo fp (Measured_entry (program, m));
-          t.db_hits <- t.db_hits + 1;
+          t.counters.db_hits <- t.counters.db_hits + 1;
           (match log with
           | Some log -> Search_log.note_db_hit log
           | None -> ());
@@ -902,7 +831,7 @@ let trace_find t key =
     | ((k, dt) as entry) :: rest ->
       if k = key then begin
         t.traces <- entry :: List.rev_append acc rest;
-        t.trace_hits <- t.trace_hits + 1;
+        t.counters.trace_hits <- t.counters.trace_hits + 1;
         Some dt
       end
       else go (entry :: acc) rest
@@ -932,7 +861,9 @@ let trace_add t key dt =
 let trace_fill t (r : request) key =
   let t0 = Unix_time.now () in
   Fun.protect
-    ~finally:(fun () -> t.fill_seconds <- t.fill_seconds +. (Unix_time.now () -. t0))
+    ~finally:(fun () ->
+      t.counters.fill_seconds <-
+        t.counters.fill_seconds +. (Unix_time.now () -. t0))
   @@ fun () ->
   match Variant.instantiate r.variant ~bindings:r.bindings with
   | exception Invalid_argument _ -> None
@@ -947,7 +878,7 @@ let trace_fill t (r : request) key =
     with
     | exception Invalid_argument _ -> None
     | dt ->
-      t.trace_fills <- t.trace_fills + 1;
+      t.counters.trace_fills <- t.counters.trace_fills + 1;
       trace_add t key dt;
       Some dt)
 
@@ -1003,9 +934,6 @@ let task_of ?protocol ?trial_base t (r : request) fp ~dt =
         harden ?trial_base ~faults ~protocol ~vm:true ~key ~primary:direct
           ~reference ())
 
-let simulate_miss t (r : request) fp =
-  (task_of t r fp ~dt:(candidate_dt ~fill:false t r fp)) ()
-
 (* --- crash-only checkpointing ---------------------------------------- *)
 
 exception Checkpoint_mismatch of string
@@ -1021,58 +949,30 @@ type resume = {
 (* Everything a killed search needs to resume to the identical final
    answer: the memo table (the search replays deterministically against
    it, so the memo IS the search cursor) plus the telemetry counters, so
-   resumed stats line up with an uninterrupted run.  Demand traces and
-   shape digests are caches and are rebuilt on demand. *)
+   a resumed run's fresh count and simulated cycles line up with an
+   uninterrupted run's (its memo hits do not: the replayed prefix is
+   served from the memo).  Demand traces and
+   shape digests are caches and are rebuilt on demand, and so are their
+   counters: a load keeps the engine's own [trace_hits], [trace_fills]
+   and [fill_seconds]. *)
 type checkpoint_blob = {
   ck_tag : string;
   ck_machine : string;
   ck_entries : (fingerprint * memo_entry) array;
-  ck_hits : int;
-  ck_fresh : int;
-  ck_pruned : int;
-  ck_prefiltered : int;
-  ck_model_evals : int;
-  ck_model_seconds : float;
-  ck_failed : int;
-  ck_failed_infeasible : int;
-  ck_failed_malformed : int;
-  ck_failed_transient : int;
-  ck_failed_timeout : int;
-  ck_failed_quarantined : int;
-  ck_retries : int;
-  ck_trials_run : int;
-  ck_early_stops : int;
-  ck_vm_fallbacks : int;
-  ck_simulated_cycles : float;
-  ck_eval_seconds : float;
-  ck_compile_seconds : float;
-  ck_exec_seconds : float;
-  ck_sim_seconds : float;
-  ck_memo_seconds : float;
-  ck_db_hits : int;
-  ck_warm_starts : int;
-  ck_sampled : int;
-  ck_batched_groups : int;
-  ck_batched_candidates : int;
-  ck_repriced : int;
-  ck_repriced_joint : int;
-  ck_confirmed : int;
-  ck_confirm_skipped : int;
+  ck_stats : stats;
   ck_rank : (string * (int * int)) array;
   ck_best : float option;
 }
 
-(* Version 5: joint-repricing and adaptive-confirmation counters plus
-   the per-kernel rank-quality table (v4 added the fingerprint sampled
-   flag and the batched/sampled/repriced counters, v3 the
-   performance-database counters, v2 the pre-filter counters).  Old
-   files fail the magic check and load as "corrupt" -- crash-only
-   semantics, the run starts fresh instead of mis-restoring counters. *)
-let checkpoint_magic = "ECO-CHECKPOINT-5\n"
+(* Bumped whenever the blob layout changes (version 6: the counters
+   travel as one [stats] record).  Files of another version fail the
+   magic check and load as "corrupt" -- crash-only semantics, the run
+   starts fresh instead of mis-restoring counters. *)
+let checkpoint_magic = "ECO-CHECKPOINT-6\n"
 
 (* Exact entries only: sampled estimates may sit below the truth, and
-   the callers (checkpoint resume line, [Search]'s polish-worthiness
-   test) both want a floor that real measurements actually reached. *)
+   the resume line wants a floor that real measurements actually
+   reached. *)
 let best_cycles t =
   Hashtbl.fold
     (fun fp entry acc ->
@@ -1094,37 +994,7 @@ let save_checkpoint t =
         ck_entries =
           Array.of_seq
             (Seq.map (fun (k, v) -> (k, v)) (Hashtbl.to_seq t.memo));
-        ck_hits = t.hits;
-        ck_fresh = t.fresh;
-        ck_pruned = t.pruned;
-        ck_prefiltered = t.prefiltered;
-        ck_model_evals = t.model_evals;
-        ck_model_seconds = t.model_seconds;
-        ck_failed = t.failed;
-        ck_failed_infeasible = t.failed_infeasible;
-        ck_failed_malformed = t.failed_malformed;
-        ck_failed_transient = t.failed_transient;
-        ck_failed_timeout = t.failed_timeout;
-        ck_failed_quarantined = t.failed_quarantined;
-        ck_retries = t.retries;
-        ck_trials_run = t.trials_run;
-        ck_early_stops = t.early_stops;
-        ck_vm_fallbacks = t.vm_fallbacks;
-        ck_simulated_cycles = t.simulated_cycles;
-        ck_eval_seconds = t.eval_seconds;
-        ck_compile_seconds = t.compile_seconds;
-        ck_exec_seconds = t.exec_seconds;
-        ck_sim_seconds = t.sim_seconds;
-        ck_memo_seconds = t.memo_seconds;
-        ck_db_hits = t.db_hits;
-        ck_warm_starts = t.warm_starts;
-        ck_sampled = t.sampled;
-        ck_batched_groups = t.batched_groups;
-        ck_batched_candidates = t.batched_candidates;
-        ck_repriced = t.repriced;
-        ck_repriced_joint = t.repriced_joint;
-        ck_confirmed = t.confirmed;
-        ck_confirm_skipped = t.confirm_skipped;
+        ck_stats = t.counters;
         ck_rank =
           Array.of_seq (Seq.map Fun.id (Hashtbl.to_seq t.rank_stats));
         ck_best = best_cycles t;
@@ -1193,43 +1063,20 @@ let load_checkpoint t ~tag file =
                 "checkpoint %s was written for machine %s, engine targets %s"
                 file ck.ck_machine t.machine.Machine.name));
       Array.iter (fun (fp, e) -> Hashtbl.replace t.memo fp e) ck.ck_entries;
-      t.hits <- ck.ck_hits;
-      t.fresh <- ck.ck_fresh;
-      t.pruned <- ck.ck_pruned;
-      t.prefiltered <- ck.ck_prefiltered;
-      t.model_evals <- ck.ck_model_evals;
-      t.model_seconds <- ck.ck_model_seconds;
-      t.failed <- ck.ck_failed;
-      t.failed_infeasible <- ck.ck_failed_infeasible;
-      t.failed_malformed <- ck.ck_failed_malformed;
-      t.failed_transient <- ck.ck_failed_transient;
-      t.failed_timeout <- ck.ck_failed_timeout;
-      t.failed_quarantined <- ck.ck_failed_quarantined;
-      t.retries <- ck.ck_retries;
-      t.trials_run <- ck.ck_trials_run;
-      t.early_stops <- ck.ck_early_stops;
-      t.vm_fallbacks <- ck.ck_vm_fallbacks;
-      t.simulated_cycles <- ck.ck_simulated_cycles;
-      t.eval_seconds <- ck.ck_eval_seconds;
-      t.compile_seconds <- ck.ck_compile_seconds;
-      t.exec_seconds <- ck.ck_exec_seconds;
-      t.sim_seconds <- ck.ck_sim_seconds;
-      t.memo_seconds <- ck.ck_memo_seconds;
-      t.db_hits <- ck.ck_db_hits;
-      t.warm_starts <- ck.ck_warm_starts;
-      t.sampled <- ck.ck_sampled;
-      t.batched_groups <- ck.ck_batched_groups;
-      t.batched_candidates <- ck.ck_batched_candidates;
-      t.repriced <- ck.ck_repriced;
-      t.repriced_joint <- ck.ck_repriced_joint;
-      t.confirmed <- ck.ck_confirmed;
-      t.confirm_skipped <- ck.ck_confirm_skipped;
+      let c = t.counters in
+      t.counters <-
+        {
+          ck.ck_stats with
+          trace_hits = c.trace_hits;
+          trace_fills = c.trace_fills;
+          fill_seconds = c.fill_seconds;
+        };
       Hashtbl.reset t.rank_stats;
       Array.iter (fun (k, pq) -> Hashtbl.replace t.rank_stats k pq) ck.ck_rank;
       Some
         {
           resumed_entries = Array.length ck.ck_entries;
-          resumed_fresh = ck.ck_fresh;
+          resumed_fresh = ck.ck_stats.fresh;
           resumed_best_cycles = ck.ck_best;
         }
 
@@ -1237,7 +1084,6 @@ let set_eval_limit t limit = t.eval_limit <- Some limit
 let set_poll t f = t.poll <- f
 let set_yield t f = t.yield_hook <- f
 let set_deadline t d = t.deadline <- d
-let deadline t = t.deadline
 
 (* Cooperative interruption point: the poll hook first (a service
    cancel token may raise), then the engine-level wall deadline.  Runs
@@ -1265,27 +1111,52 @@ let batch_boundary t =
    durable. *)
 let after_fresh t =
   (match t.checkpoint with
-  | Some (_, _, every) when t.fresh mod every = 0 -> save_checkpoint t
+  | Some (_, _, every) when t.counters.fresh mod every = 0 -> save_checkpoint t
   | _ -> ());
   interrupt t;
   match t.eval_limit with
-  | Some limit when t.fresh >= limit -> raise (Eval_limit_reached limit)
+  | Some limit when t.counters.fresh >= limit ->
+    raise (Eval_limit_reached limit)
   | _ -> ()
 
 (* --- commit and serve ------------------------------------------------- *)
 
 let add_tele t (tl : tele) =
-  if tl.t_retries <> 0 then t.retries <- t.retries + tl.t_retries;
-  if tl.t_trials <> 0 then t.trials_run <- t.trials_run + tl.t_trials;
-  if tl.t_fallbacks <> 0 then t.vm_fallbacks <- t.vm_fallbacks + tl.t_fallbacks;
-  if tl.t_early_stops <> 0 then t.early_stops <- t.early_stops + tl.t_early_stops
+  let c = t.counters in
+  c.retries <- c.retries + tl.t_retries;
+  c.trials_run <- c.trials_run + tl.t_trials;
+  c.vm_fallbacks <- c.vm_fallbacks + tl.t_fallbacks;
+  c.early_stops <- c.early_stops + tl.t_early_stops
 
-let count_failure t = function
-  | Infeasible_instantiation -> t.failed_infeasible <- t.failed_infeasible + 1
-  | Malformed_program -> t.failed_malformed <- t.failed_malformed + 1
-  | Transient -> t.failed_transient <- t.failed_transient + 1
-  | Timeout -> t.failed_timeout <- t.failed_timeout + 1
-  | Quarantined -> t.failed_quarantined <- t.failed_quarantined + 1
+let count_failure t reason =
+  let c = t.counters in
+  c.failed <- c.failed + 1;
+  match reason with
+  | Infeasible_instantiation -> c.failed_infeasible <- c.failed_infeasible + 1
+  | Malformed_program -> c.failed_malformed <- c.failed_malformed + 1
+  | Transient -> c.failed_transient <- c.failed_transient + 1
+  | Timeout -> c.failed_timeout <- c.failed_timeout + 1
+  | Quarantined -> c.failed_quarantined <- c.failed_quarantined + 1
+
+(* Run [f], charging its wall time to [eval_seconds]. *)
+let timed_eval t f =
+  let t0 = Unix_time.now () in
+  let x = f () in
+  t.counters.eval_seconds <- t.counters.eval_seconds +. (Unix_time.now () -. t0);
+  x
+
+(* The telemetry of one fresh measurement, shared by every route that
+   simulates ([commit], [confirm], [measure_program]): the counters,
+   then periodic persistence and the interruption point. *)
+let note_fresh t (m : Executor.measurement) =
+  let c = t.counters in
+  let tm = m.Executor.timings in
+  c.fresh <- c.fresh + 1;
+  c.simulated_cycles <- c.simulated_cycles +. Executor.cycles m;
+  c.compile_seconds <- c.compile_seconds +. tm.Executor.compile_s;
+  c.exec_seconds <- c.exec_seconds +. tm.Executor.exec_s;
+  c.sim_seconds <- c.sim_seconds +. tm.Executor.sim_s;
+  after_fresh t
 
 (* Commit one fresh result: memo table, telemetry, log — always on the
    coordinating domain, always in request order. *)
@@ -1295,12 +1166,7 @@ let commit t ?log (r : request) fp raw =
     add_tele t tl;
     Hashtbl.replace t.memo fp (Measured_entry (program, m));
     db_append t r fp m;
-    t.fresh <- t.fresh + 1;
-    if fp.fp_sampled then t.sampled <- t.sampled + 1;
-    t.simulated_cycles <- t.simulated_cycles +. Executor.cycles m;
-    t.compile_seconds <- t.compile_seconds +. m.Executor.timings.Executor.compile_s;
-    t.exec_seconds <- t.exec_seconds +. m.Executor.timings.Executor.exec_s;
-    t.sim_seconds <- t.sim_seconds +. m.Executor.timings.Executor.sim_s;
+    if fp.fp_sampled then t.counters.sampled <- t.counters.sampled + 1;
     (match log with
     | Some log ->
       Search_log.record log
@@ -1312,46 +1178,26 @@ let commit t ?log (r : request) fp raw =
           mflops = m.Executor.mflops;
         }
     | None -> ());
-    after_fresh t;
+    note_fresh t m;
     Some { program; measurement = m; cached = false }
   | Infeasible ->
     Hashtbl.replace t.memo fp Pruned_entry;
-    t.pruned <- t.pruned + 1;
+    t.counters.pruned <- t.counters.pruned + 1;
     (match log with Some log -> Search_log.note_pruned log | None -> ());
     None
   | Failed (reason, tl) ->
     add_tele t tl;
     Hashtbl.replace t.memo fp (Failed_entry reason);
-    t.failed <- t.failed + 1;
     count_failure t reason;
     (match log with Some log -> Search_log.note_failed log | None -> ());
     None
 
 let serve_hit t ?log entry =
-  t.hits <- t.hits + 1;
+  t.counters.hits <- t.counters.hits + 1;
   (match log with Some log -> Search_log.note_hit log | None -> ());
   match entry with
   | Measured_entry (program, m) -> Some { program; measurement = m; cached = true }
   | Pruned_entry | Failed_entry _ -> None
-
-let evaluate_canonical t ?log r =
-  interrupt t;
-  let fp = fingerprint t r in
-  let t0 = Unix_time.now () in
-  let entry = Hashtbl.find_opt t.memo fp in
-  t.memo_seconds <- t.memo_seconds +. (Unix_time.now () -. t0);
-  match entry with
-  | Some entry -> serve_hit t ?log entry
-  | None -> (
-    match db_serve t ?log r fp with
-    | Some ev -> Some ev
-    | None ->
-      let t0 = Unix_time.now () in
-      let raw = simulate_miss t r fp in
-      t.eval_seconds <- t.eval_seconds +. (Unix_time.now () -. t0);
-      commit t ?log r fp raw)
-
-let evaluate t ?log r = evaluate_canonical t ?log (canonical r)
 
 let explain t r =
   match Hashtbl.find_opt t.memo (fingerprint t (canonical r)) with
@@ -1359,54 +1205,6 @@ let explain t r =
   | Some Pruned_entry -> `Pruned
   | Some (Failed_entry reason) -> `Failed reason
   | None -> `Unknown
-
-(* Is the engine fighting a noisy substrate?  When it is, searches run a
-   confirmation pass over their leading candidates before declaring a
-   winner (the standard defence against the winner's curse: the minimum
-   over many noisy values is biased low). *)
-let confirming t = Faults.noisy t.faults && t.protocol.trials > 1
-
-(* Confirmation trials draw from a reserved band of trial indices, so
-   they are fresh randomness — independent of the draws that produced
-   the memoized search measurement — yet still a pure function of the
-   candidate. *)
-let confirm_trial_base = 1_000_000
-
-let confirm t r ~trials =
-  let r = canonical r in
-  if not (confirming t) then
-    Option.map (fun ev -> ev.measurement) (evaluate t r)
-  else begin
-    let fp = fingerprint t r in
-    let trials = max 1 trials in
-    (* min_trials = trials disables the adaptive early stop: a
-       confirmation wants the full sample. *)
-    let protocol = { t.protocol with trials; min_trials = trials } in
-    let task =
-      task_of t r fp ~protocol ~trial_base:confirm_trial_base
-        ~dt:(candidate_dt ~fill:false t r fp)
-    in
-    let t0 = Unix_time.now () in
-    let raw = task () in
-    t.eval_seconds <- t.eval_seconds +. (Unix_time.now () -. t0);
-    match raw with
-    | Measured (_, m, tl) ->
-      add_tele t tl;
-      t.fresh <- t.fresh + 1;
-      t.simulated_cycles <- t.simulated_cycles +. Executor.cycles m;
-      t.compile_seconds <-
-        t.compile_seconds +. m.Executor.timings.Executor.compile_s;
-      t.exec_seconds <- t.exec_seconds +. m.Executor.timings.Executor.exec_s;
-      t.sim_seconds <- t.sim_seconds +. m.Executor.timings.Executor.sim_s;
-      after_fresh t;
-      Some m
-    | Infeasible -> None
-    | Failed (reason, tl) ->
-      add_tele t tl;
-      t.failed <- t.failed + 1;
-      count_failure t reason;
-      None
-  end
 
 (* Strided parallel map: worker [w] takes indices w, w+jobs, w+2*jobs...
    so neighbouring (similarly-sized) candidates spread across domains.
@@ -1437,19 +1235,19 @@ let parallel_map jobs f arr =
   Array.map Option.get out
 
 let note_prefiltered t ?log () =
-  t.prefiltered <- t.prefiltered + 1;
+  t.counters.prefiltered <- t.counters.prefiltered + 1;
   match log with Some log -> Search_log.note_prefiltered log | None -> ()
 
 let note_repriced t ?log () =
-  t.repriced <- t.repriced + 1;
+  t.counters.repriced <- t.counters.repriced + 1;
   match log with Some log -> Search_log.note_repriced log | None -> ()
 
 let note_confirmed t ?log () =
-  t.confirmed <- t.confirmed + 1;
+  t.counters.confirmed <- t.counters.confirmed + 1;
   match log with Some log -> Search_log.note_confirmed log | None -> ()
 
 let note_confirm_skipped t ?log () =
-  t.confirm_skipped <- t.confirm_skipped + 1;
+  t.counters.confirm_skipped <- t.counters.confirm_skipped + 1;
   match log with Some log -> Search_log.note_confirm_skipped log | None -> ()
 
 (* Does the engine collapse sweep groups into batched multi-plan
@@ -1475,8 +1273,9 @@ let group_unit t members =
     let tasks = Array.map (fun (r, fp, _) -> task_of t r fp ~dt:None) members in
     (members, ref 0, fun () -> Array.map (fun task -> Some (task ())) tasks)
   | Some dt ->
-    t.batched_groups <- t.batched_groups + 1;
-    t.batched_candidates <- t.batched_candidates + Array.length members;
+    let c = t.counters in
+    c.batched_groups <- c.batched_groups + 1;
+    c.batched_candidates <- c.batched_candidates + Array.length members;
     let machine = t.machine
     and faults = t.faults
     and protocol = t.protocol in
@@ -1531,188 +1330,225 @@ let group_unit t members =
     in
     (members, joint, thunk)
 
-let evaluate_batch t ?log reqs =
-  batch_boundary t;
+(* The one evaluation path, for a single request and a batch alike.
+   [boundary] is the interruption point taken on entry: [interrupt] for
+   a singleton, [batch_boundary] (which may also suspend the search)
+   for a batch.
+
+   Plan: classify each request as a memo hit, a duplicate of an earlier
+   slot, or a scheduled miss.  Each miss becomes a pure task built by
+   [task_of] on the coordinator.  The plan runs at any [jobs]
+   (including 1), so the pre-filter's skipped set — and hence every
+   downstream number — is identical at any parallelism.  A single
+   request is never pre-filtered (a top-k keeps at least one) and never
+   grouped (a group needs two members), so [evaluate] measures exactly
+   the candidate it was given. *)
+(* What became of one scheduled miss of a batch. *)
+type fate =
+  | Pending
+  | Skipped (* ranked outside the pre-filter's top-k *)
+  | Served of evaluation (* found in the persistent database *)
+  | Repriced (* priced by the incremental repricer, never replayed *)
+  | Ran of raw
+
+let run t ?log ~boundary reqs =
+  boundary t;
   let reqs = List.map canonical reqs in
-  if t.jobs <= 1 && t.prefilter = None && not (grouping_capable t) then
-    (* the historical serial path, bit-for-bit *)
-    List.map (evaluate_canonical t ?log) reqs
-  else begin
-    (* Plan: classify each request as a memo hit, a duplicate of an
-       earlier slot, or a scheduled miss.  Each miss becomes a pure
-       task built by [task_of] on the coordinator.  With a pre-filter,
-       this plan path runs at any [jobs] (including 1), so the skipped
-       set — and hence every downstream number — is identical at any
-       parallelism. *)
-    let slots = Hashtbl.create 16 in
-    let t0 = Unix_time.now () in
-    let plan =
-      List.map
-        (fun r ->
-          let fp = fingerprint t r in
-          if Hashtbl.mem t.memo fp then `Hit fp
-          else
-            match Hashtbl.find_opt slots fp with
-            | Some _ -> `Dup fp
-            | None ->
-              let slot = Hashtbl.length slots in
-              Hashtbl.add slots fp slot;
-              `Run (r, fp, slot))
-        reqs
-    in
-    t.memo_seconds <- t.memo_seconds +. (Unix_time.now () -. t0);
-    let run_entries =
-      List.filter_map
-        (function `Run (r, fp, slot) -> Some (r, fp, slot) | `Hit _ | `Dup _ -> None)
-        plan
-    in
-    (* Stage 1: analytically rank the feasible fresh candidates and keep
-       only the top-k for simulation.  Infeasible candidates bypass the
-       ranking — their "evaluation" is pure constraint arithmetic that
-       must still record a pruned entry.  Skipped candidates are NOT
-       memoized: a later request for the same point simulates it. *)
-    let skip = Hashtbl.create 16 in
-    (match t.prefilter with
-    | None -> ()
-    | Some k ->
-      let rankable =
-        List.filter
-          (fun ((r : request), _, _) ->
-            (not r.check) || Variant.feasible r.variant ~n:r.n r.bindings)
-          run_entries
-      in
-      if List.length rankable > k then begin
-        let scored =
-          List.map (fun (r, fp, slot) -> (model_score t r, slot, fp)) rankable
-        in
-        let sorted =
-          List.sort
-            (fun (a, sa, _) (b, sb, _) ->
-              match compare a b with 0 -> compare sa sb | c -> c)
-            scored
-        in
-        List.iteri
-          (fun i (_, _, fp) -> if i >= k then Hashtbl.replace skip fp ())
-          sorted
-      end);
-    let executed =
-      List.filter (fun (_, fp, _) -> not (Hashtbl.mem skip fp)) run_entries
-    in
-    (* The database is consulted only AFTER the pre-filter chose its
-       skip set: served candidates are the ones the plan would have
-       simulated, so the skip set — and with it the whole search
-       trajectory — is identical to the run that populated the
-       database, and a fully-populated rerun replays with zero fresh
-       simulations.  (A skipped candidate stays skipped even when it is
-       on disk, for the same reason.)  Lookups run on the coordinator. *)
-    let served = Hashtbl.create 16 in
-    List.iter
-      (fun (r, fp, _) ->
-        match db_serve t ?log r fp with
-        | Some ev -> Hashtbl.replace served fp ev
-        | None -> ())
-      executed;
-    let executed =
-      List.filter (fun (_, fp, _) -> not (Hashtbl.mem served fp)) executed
-    in
-    (* Units: each unit measures a disjoint subset of [executed] and
-       returns one [raw option] per member ([None] = re-priced away,
-       never simulated).  Without grouping every unit is one hardened
-       task; with it, prefetch candidates sharing a demand trace form
-       one group unit measured by a single multi-plan walk, placed at
-       the first member's position. *)
-    let singleton ((r, fp, _) as e) =
-      let task = task_of t r fp ~dt:(candidate_dt ~fill:false t r fp) in
-      ([| e |], ref 0, fun () -> [| Some (task ()) |])
-    in
-    let units =
-      if not (grouping_capable t) then List.map singleton executed
-      else begin
-        let buckets = Hashtbl.create 8 in
-        let order = ref [] in
-        List.iter
-          (fun (((r : request), fp, _) as e) ->
-            (* An injected fast-path crash splits its candidate out to
-               its own hardened task, exactly as ungrouped. *)
-            let groupable =
-              r.prefetch <> []
-              && ((not r.check) || Variant.feasible r.variant ~n:r.n r.bindings)
-              && not (Faults.crashes t.faults ~key:(fault_key fp))
-            in
-            if groupable then begin
-              let key = trace_key fp in
-              match Hashtbl.find_opt buckets key with
-              | Some q -> Queue.add e q
-              | None ->
-                let q = Queue.create () in
-                Queue.add e q;
-                Hashtbl.add buckets key q;
-                order := `Group key :: !order
-            end
-            else order := `Single e :: !order)
-          executed;
-        List.map
-          (function
-            | `Single e -> singleton e
-            | `Group key ->
-              let members =
-                Array.of_seq (Queue.to_seq (Hashtbl.find buckets key))
-              in
-              if Array.length members = 1 then singleton members.(0)
-              else group_unit t members)
-          (List.rev !order)
-      end
-    in
-    let units = Array.of_list units in
-    let t0 = Unix_time.now () in
-    let results = parallel_map t.jobs (fun (_, _, thunk) -> thunk ()) units in
-    t.eval_seconds <- t.eval_seconds +. (Unix_time.now () -. t0);
-    Array.iter
-      (fun (_, joint, _) -> t.repriced_joint <- t.repriced_joint + !joint)
-      units;
-    let raw_of_slot = Hashtbl.create 16 in
-    let repriced_slots = Hashtbl.create 4 in
-    Array.iteri
-      (fun u (members, _, _) ->
-        Array.iteri
-          (fun i (_, _, slot) ->
-            match results.(u).(i) with
-            | Some raw -> Hashtbl.replace raw_of_slot slot raw
-            | None -> Hashtbl.replace repriced_slots slot ())
-          members)
-      units;
-    (* Commit in request order: memo, telemetry and log end up identical
-       to a serial evaluation of the same list (a duplicate always
-       follows the slot that resolves it, so it lands as a hit — or as
-       another pre-filter skip / re-price when its slot was skipped or
-       re-priced). *)
+  let slots = Hashtbl.create (List.length reqs) in
+  let t0 = Unix_time.now () in
+  let plan =
     List.map
-      (function
-        | `Hit fp -> serve_hit t ?log (Hashtbl.find t.memo fp)
-        | `Dup fp -> (
-          match Hashtbl.find_opt t.memo fp with
-          | Some entry -> serve_hit t ?log entry
+      (fun r ->
+        let fp = fingerprint t r in
+        match Hashtbl.find_opt t.memo fp with
+        | Some entry -> `Hit entry
+        | None -> (
+          match Hashtbl.find_opt slots fp with
+          | Some slot -> `Dup (fp, slot)
           | None ->
-            (match Hashtbl.find_opt slots fp with
-            | Some slot when Hashtbl.mem repriced_slots slot ->
-              note_repriced t ?log ()
-            | _ -> note_prefiltered t ?log ());
-            None)
-        | `Run (r, fp, slot) ->
-          if Hashtbl.mem skip fp then begin
-            note_prefiltered t ?log ();
-            None
-          end
-          else (
-            match Hashtbl.find_opt served fp with
-            | Some ev -> Some ev
-            | None ->
-              if Hashtbl.mem repriced_slots slot then begin
-                note_repriced t ?log ();
-                None
-              end
-              else commit t ?log r fp (Hashtbl.find raw_of_slot slot)))
+            let slot = Hashtbl.length slots in
+            Hashtbl.add slots fp slot;
+            `Run (r, fp, slot)))
+      reqs
+  in
+  t.counters.memo_seconds <-
+    t.counters.memo_seconds +. (Unix_time.now () -. t0);
+  let fates = Array.make (Hashtbl.length slots) Pending in
+  let pending (_, _, slot) =
+    match fates.(slot) with Pending -> true | _ -> false
+  in
+  let run_entries =
+    List.filter_map
+      (function `Run (r, fp, slot) -> Some (r, fp, slot) | `Hit _ | `Dup _ -> None)
       plan
+  in
+  (* Stage 1: analytically rank the feasible fresh candidates and keep
+     only the top-k for simulation.  Infeasible candidates bypass the
+     ranking — their "evaluation" is pure constraint arithmetic that
+     must still record a pruned entry.  Skipped candidates are NOT
+     memoized: a later request for the same point simulates it. *)
+  (match t.prefilter with
+  | None -> ()
+  | Some k ->
+    let rankable =
+      List.filter
+        (fun ((r : request), _, _) ->
+          (not r.check) || Variant.feasible r.variant ~n:r.n r.bindings)
+        run_entries
+    in
+    if List.length rankable > k then begin
+      let scored =
+        List.map (fun (r, _, slot) -> (model_score t r, slot)) rankable
+      in
+      List.iteri
+        (fun i (_, slot) -> if i >= k then fates.(slot) <- Skipped)
+        (List.sort compare scored)
+    end);
+  (* The database is consulted only AFTER the pre-filter chose its
+     skip set: served candidates are the ones the plan would have
+     simulated, so the skip set — and with it the whole search
+     trajectory — is identical to the run that populated the
+     database, and a fully-populated rerun replays with zero fresh
+     simulations.  (A skipped candidate stays skipped even when it is
+     on disk, for the same reason.)  Lookups run on the coordinator. *)
+  List.iter
+    (fun ((r, fp, slot) as e) ->
+      if pending e then
+        match db_serve t ?log r fp with
+        | Some ev -> fates.(slot) <- Served ev
+        | None -> ())
+    run_entries;
+  let executed = List.filter pending run_entries in
+  (* Units: each unit measures a disjoint subset of [executed] and
+     returns one [raw option] per member ([None] = re-priced away,
+     never simulated).  A unit is one hardened task, except that on a
+     grouping-capable engine prefetch candidates sharing a demand trace
+     form one group unit measured by a single multi-plan walk, placed
+     at the first member's position. *)
+  let singleton ((r, fp, _) as e) =
+    let task = task_of t r fp ~dt:(candidate_dt ~fill:false t r fp) in
+    ([| e |], ref 0, fun () -> [| Some (task ()) |])
+  in
+  let buckets = Hashtbl.create 8 in
+  let order = ref [] in
+  List.iter
+    (fun (((r : request), fp, _) as e) ->
+      (* An injected fast-path crash splits its candidate out to its
+         own hardened task, exactly as ungrouped. *)
+      let groupable =
+        grouping_capable t && r.prefetch <> []
+        && ((not r.check) || Variant.feasible r.variant ~n:r.n r.bindings)
+        && not (Faults.crashes t.faults ~key:(fault_key fp))
+      in
+      if groupable then begin
+        let key = trace_key fp in
+        match Hashtbl.find_opt buckets key with
+        | Some q -> Queue.add e q
+        | None ->
+          let q = Queue.create () in
+          Queue.add e q;
+          Hashtbl.add buckets key q;
+          order := `Group key :: !order
+      end
+      else order := `Single e :: !order)
+    executed;
+  let units =
+    Array.of_list
+      (List.map
+         (function
+           | `Single e -> singleton e
+           | `Group key ->
+             let members =
+               Array.of_seq (Queue.to_seq (Hashtbl.find buckets key))
+             in
+             if Array.length members = 1 then singleton members.(0)
+             else group_unit t members)
+         (List.rev !order))
+  in
+  let results =
+    timed_eval t (fun () ->
+        parallel_map t.jobs (fun (_, _, thunk) -> thunk ()) units)
+  in
+  let c = t.counters in
+  Array.iter
+    (fun (_, joint, _) -> c.repriced_joint <- c.repriced_joint + !joint)
+    units;
+  Array.iteri
+    (fun u (members, _, _) ->
+      Array.iteri
+        (fun i (_, _, slot) ->
+          fates.(slot) <-
+            (match results.(u).(i) with Some raw -> Ran raw | None -> Repriced))
+        members)
+    units;
+  (* Commit in request order: memo, telemetry and log end up identical
+     to a serial evaluation of the same list (a duplicate always
+     follows the slot that resolves it, so it lands as a hit — or as
+     another pre-filter skip / re-price when its slot was skipped or
+     re-priced). *)
+  List.map
+    (function
+      | `Hit entry -> serve_hit t ?log entry
+      | `Dup (fp, slot) -> (
+        match Hashtbl.find_opt t.memo fp with
+        | Some entry -> serve_hit t ?log entry
+        | None ->
+          (match fates.(slot) with
+          | Repriced -> note_repriced t ?log ()
+          | _ -> note_prefiltered t ?log ());
+          None)
+      | `Run (r, fp, slot) -> (
+        match fates.(slot) with
+        | Skipped ->
+          note_prefiltered t ?log ();
+          None
+        | Served ev -> Some ev
+        | Repriced ->
+          note_repriced t ?log ();
+          None
+        | Ran raw -> commit t ?log r fp raw
+        | Pending -> assert false (* every executed slot got a result *)))
+    plan
+
+let evaluate t ?log r = List.hd (run t ?log ~boundary:interrupt [ r ])
+let evaluate_batch t ?log reqs = run t ?log ~boundary:batch_boundary reqs
+
+(* Is the engine fighting a noisy substrate?  When it is, searches run a
+   confirmation pass over their leading candidates before declaring a
+   winner (the standard defence against the winner's curse: the minimum
+   over many noisy values is biased low). *)
+let confirming t = Faults.noisy t.faults && t.protocol.trials > 1
+
+(* Confirmation trials draw from a reserved band of trial indices, so
+   they are fresh randomness — independent of the draws that produced
+   the memoized search measurement — yet still a pure function of the
+   candidate. *)
+let confirm_trial_base = 1_000_000
+
+let confirm t r ~trials =
+  let r = canonical r in
+  if not (confirming t) then
+    Option.map (fun ev -> ev.measurement) (evaluate t r)
+  else begin
+    let fp = fingerprint t r in
+    let trials = max 1 trials in
+    (* min_trials = trials disables the adaptive early stop: a
+       confirmation wants the full sample. *)
+    let protocol = { t.protocol with trials; min_trials = trials } in
+    let task =
+      task_of t r fp ~protocol ~trial_base:confirm_trial_base
+        ~dt:(candidate_dt ~fill:false t r fp)
+    in
+    match timed_eval t task with
+    | Measured (_, m, tl) ->
+      add_tele t tl;
+      note_fresh t m;
+      Some m
+    | Infeasible -> None
+    | Failed (reason, tl) ->
+      add_tele t tl;
+      count_failure t reason;
+      None
   end
 
 let program_fingerprint kernel ~n ~mode shape =
@@ -1741,15 +1577,11 @@ let measure_program t ?key kernel ~n ~mode program =
       | exception _ -> None)
   in
   let run () =
-    let t0 = Unix_time.now () in
-    let m = Executor.measure ~path:t.path t.machine kernel ~n ~mode program in
-    t.eval_seconds <- t.eval_seconds +. (Unix_time.now () -. t0);
-    t.fresh <- t.fresh + 1;
-    t.simulated_cycles <- t.simulated_cycles +. Executor.cycles m;
-    t.compile_seconds <- t.compile_seconds +. m.Executor.timings.Executor.compile_s;
-    t.exec_seconds <- t.exec_seconds +. m.Executor.timings.Executor.exec_s;
-    t.sim_seconds <- t.sim_seconds +. m.Executor.timings.Executor.sim_s;
-    after_fresh t;
+    let m =
+      timed_eval t (fun () ->
+          Executor.measure ~path:t.path t.machine kernel ~n ~mode program)
+    in
+    note_fresh t m;
     m
   in
   match shape with
@@ -1758,7 +1590,7 @@ let measure_program t ?key kernel ~n ~mode program =
     let fp = program_fingerprint kernel ~n ~mode shape in
     match Hashtbl.find_opt t.memo fp with
     | Some (Measured_entry (_, m)) ->
-      t.hits <- t.hits + 1;
+      t.counters.hits <- t.counters.hits + 1;
       m
     | Some (Pruned_entry | Failed_entry _) | None ->
       let m = run () in

@@ -130,7 +130,6 @@ val default_jobs : unit -> int
 
 val machine : t -> Machine.t
 val jobs : t -> int
-val path : t -> Executor.path
 val faults : t -> Faults.t
 val protocol : t -> protocol
 val objective : t -> Objective.t
@@ -185,7 +184,6 @@ val default_prefilter : int
 
 val sampling : t -> Memsim.Sampling.t option
 val set_sampling : t -> Memsim.Sampling.t option -> unit
-val incremental : t -> bool
 val set_incremental : t -> bool -> unit
 
 (** {2 Adaptive confirmation}
@@ -193,19 +191,12 @@ val set_incremental : t -> bool -> unit
     After a sampled search, [Search.confirm_best] re-measures the
     leaderboard exactly.  The engine holds the pieces that must outlive
     any single search state: the per-kernel rank-quality record of the
-    sampled estimator (confirmed pairs vs. observed order inversions,
-    accumulated by every confirmation pass) and the user's [--confirm]
-    override.  [Search] reads {!rank_quality} to shrink the confirm set
-    from the full leaderboard toward a single candidate as the
-    estimator proves its ranking on this kernel; the floor of one exact
-    confirmation is never crossed, so the reported [performance:] stays
-    an exact measurement. *)
-
-(** The forced confirm-set size ([None] = adaptive policy).  Values are
-    clamped to at least 1 on the way in. *)
-val confirm_override : t -> int option
-
-val set_confirm_override : t -> int option -> unit
+    sampled estimator: confirmed pairs vs. observed order inversions,
+    accumulated by every confirmation pass.  [Search] reads
+    {!rank_quality} to shrink the confirm set from the full leaderboard
+    toward a single candidate as the estimator proves its ranking on
+    this kernel; the floor of one exact confirmation is never crossed,
+    so the reported [performance:] stays an exact measurement. *)
 
 (** [(pairs, inversions)] observed for [kernel] so far: ordered
     leaderboard pairs whose exact scores were separated enough to
@@ -222,12 +213,6 @@ val record_rank_sample : t -> kernel:string -> pairs:int -> inversions:int -> un
 val note_confirmed : t -> ?log:Search_log.t -> unit -> unit
 
 val note_confirm_skipped : t -> ?log:Search_log.t -> unit -> unit
-
-(** Best {e exact} measured cycles across the memo table (sampled
-    estimates excluded), [None] when nothing exact was measured yet.
-    [Search] uses it to decide whether a confirmed winner is close
-    enough to the global floor to be worth exact polishing. *)
-val best_cycles : t -> float option
 
 (** {2 Persistent performance database}
 
@@ -250,14 +235,11 @@ val set_db : t -> ?warm_start:bool -> Perfdb.t -> unit
 
 val db : t -> Perfdb.t option
 
-(** Detach the database (and disable warm-starting): evaluation
-    continues from the in-memory memo alone. *)
-val clear_db : t -> unit
-
-(** Quarantine the store: {!clear_db} plus a recorded reason (first
-    failure wins).  The engine calls this itself on the first database
-    append failure; the autotuning daemon calls it when a shared store
-    turns out corrupt at load time. *)
+(** Quarantine the store: detach the database and disable
+    warm-starting (evaluation continues from the in-memory memo alone),
+    recording the reason (first failure wins).  The engine calls this
+    itself on the first database append failure; the autotuning daemon
+    calls it when a shared store turns out corrupt at load time. *)
 val degrade_db : t -> string -> unit
 
 (** Why the database tier was quarantined, [None] while it is healthy.
@@ -307,7 +289,13 @@ type evaluation = {
     given, fresh evaluations are {!Search_log.record}ed, memo hits
     {!Search_log.note_hit}ed, pruned candidates
     {!Search_log.note_pruned}ed and failures
-    {!Search_log.note_failed}ed. *)
+    {!Search_log.note_failed}ed.
+
+    This is a one-request {!evaluate_batch}: the same plan, measurement
+    and commit code, except that a single request is never pre-filtered
+    or grouped, and that on entry it takes only the interruption point
+    ({!set_poll} hook and {!set_deadline}) — never the {!set_yield}
+    hook, which runs at batch boundaries alone. *)
 val evaluate : t -> ?log:Search_log.t -> request -> evaluation option
 
 (** Evaluate an independent batch; result list is in request order.
@@ -369,11 +357,13 @@ val measure_program :
 
     A checkpoint persists the memo table (which, for a deterministic
     search, {e is} the search cursor: replaying the search against it
-    costs only memo lookups) plus the telemetry counters.  Files are
-    written atomically (write to a temp file, then rename), prefixed
-    with a magic string and an integrity digest, so a run killed at any
-    instant leaves a loadable checkpoint — the previous complete one at
-    worst. *)
+    costs only memo lookups) plus the {!stats} record, whole.  The
+    demand-trace cache and its counters ([trace_hits], [trace_fills],
+    [fill_seconds]) are not persisted: a load keeps the engine's own
+    values.  Files are written atomically (write to a temp file, then
+    rename), prefixed with a magic string and an integrity digest, so a
+    run killed at any instant leaves a loadable checkpoint — the
+    previous complete one at worst. *)
 
 (** Raised by {!load_checkpoint} when the file is a valid checkpoint of
     a {e different} run configuration (tag or machine mismatch) —
@@ -403,9 +393,8 @@ val set_checkpoint : t -> ?every:int -> tag:string -> string -> unit
     engine: the tuned problem plus every configuration knob that shapes
     the answer (machine, path, fault plan, trials and retries,
     objective, pre-filter, database mode, sampling, incremental
-    repricing, confirm override).  [eco tune --checkpoint] and the
-    daemon's sessions both key their checkpoints by it.  The format is
-    persisted and frozen. *)
+    repricing).  [eco tune --checkpoint] and the daemon's sessions both
+    key their checkpoints by it.  The format is persisted and frozen. *)
 val run_tag : t -> kernel:Kernels.Kernel.t -> n:int -> budget:int -> string
 
 (** Write a checkpoint immediately (no-op unless {!set_checkpoint} was
@@ -413,8 +402,9 @@ val run_tag : t -> kernel:Kernels.Kernel.t -> n:int -> budget:int -> string
 val checkpoint_now : t -> unit
 
 (** [load_checkpoint t ~tag file] restores the memo table and telemetry
-    from [file].  [None] when the file is missing, truncated or corrupt
-    (crash-only recovery: start fresh).
+    from [file].  [None] when the file is missing, truncated, corrupt or
+    written by another checkpoint format version (crash-only recovery:
+    start fresh).
     @raise Checkpoint_mismatch when the file belongs to a different run
     configuration or machine. *)
 val load_checkpoint : t -> tag:string -> string -> resume option
@@ -455,63 +445,60 @@ val set_yield : t -> (unit -> unit) option -> unit
     interruption point. *)
 val set_deadline : t -> float option -> unit
 
-val deadline : t -> float option
-
 (** {2 Telemetry} *)
 
-(** Cumulative engine-lifetime telemetry. *)
+(** Cumulative engine-lifetime telemetry.  The engine keeps one such
+    record and updates it in place; {!stats} returns a copy, so a
+    snapshot never moves under its holder. *)
 type stats = {
-  hits : int;  (** requests served from the memo table *)
-  fresh : int;  (** actual simulations run *)
-  pruned : int;  (** candidates rejected by constraints, no simulation *)
-  prefiltered : int;
+  mutable hits : int;  (** requests served from the memo table *)
+  mutable fresh : int;  (** actual simulations run *)
+  mutable pruned : int;  (** candidates rejected by constraints, no simulation *)
+  mutable prefiltered : int;
       (** candidates skipped by the analytical pre-filter (feasible,
           ranked outside the batch top-k, never simulated) *)
-  model_evals : int;  (** analytical predictions computed *)
-  model_seconds : float;  (** wall time inside the analytical model *)
-  failed : int;  (** instantiation/measurement failures (total) *)
-  failed_infeasible : int;  (** {!Infeasible_instantiation} *)
-  failed_malformed : int;  (** {!Malformed_program} *)
-  failed_transient : int;  (** {!Transient} *)
-  failed_timeout : int;  (** {!Timeout} *)
-  failed_quarantined : int;  (** {!Quarantined} *)
-  retries : int;  (** protocol retries across all candidates *)
-  trials_run : int;  (** successful trials across all candidates *)
-  early_stops : int;  (** candidates whose trials stopped early *)
-  vm_fallbacks : int;  (** Fast-path crashes degraded to [Closures] *)
-  simulated_cycles : float;  (** total cycles across fresh measurements *)
-  eval_seconds : float;  (** wall time spent inside evaluation *)
-  compile_seconds : float;  (** bytecode compilation (Fast path) *)
-  exec_seconds : float;
+  mutable model_evals : int;  (** analytical predictions computed *)
+  mutable model_seconds : float;  (** wall time inside the analytical model *)
+  mutable failed : int;  (** instantiation/measurement failures (total) *)
+  mutable failed_infeasible : int;  (** {!Infeasible_instantiation} *)
+  mutable failed_malformed : int;  (** {!Malformed_program} *)
+  mutable failed_transient : int;  (** {!Transient} *)
+  mutable failed_timeout : int;  (** {!Timeout} *)
+  mutable failed_quarantined : int;  (** {!Quarantined} *)
+  mutable retries : int;  (** protocol retries across all candidates *)
+  mutable trials_run : int;  (** successful trials across all candidates *)
+  mutable early_stops : int;  (** candidates whose trials stopped early *)
+  mutable vm_fallbacks : int;  (** Fast-path crashes degraded to [Closures] *)
+  mutable simulated_cycles : float;  (** total cycles across fresh measurements *)
+  mutable eval_seconds : float;  (** wall time spent inside evaluation *)
+  mutable compile_seconds : float;  (** bytecode compilation (Fast path) *)
+  mutable exec_seconds : float;
       (** program execution / trace generation (everything, on the
           closure path) *)
-  sim_seconds : float;  (** hierarchy simulation (batched replay) *)
-  memo_seconds : float;  (** memo-table lookups *)
-  trace_hits : int;  (** candidates served by demand-trace synthesis *)
-  trace_fills : int;  (** demand traces captured *)
-  fill_seconds : float;
+  mutable sim_seconds : float;  (** hierarchy simulation (batched replay) *)
+  mutable memo_seconds : float;  (** memo-table lookups *)
+  mutable trace_hits : int;  (** candidates served by demand-trace synthesis *)
+  mutable trace_fills : int;  (** demand traces captured *)
+  mutable fill_seconds : float;
       (** coordinator-side wall time spent capturing demand traces
           (variant instantiation + VM run + event copy) — outside
           [eval_seconds] *)
-  db_hits : int;  (** points served from the persistent database *)
-  warm_starts : int;  (** transferred warm-start seeds *)
-  sampled : int;  (** fresh evaluations measured as sampled estimates *)
-  batched_groups : int;  (** sweep groups measured by multi-plan replay *)
-  batched_candidates : int;  (** candidates covered by those groups *)
-  repriced : int;
+  mutable db_hits : int;  (** points served from the persistent database *)
+  mutable warm_starts : int;  (** transferred warm-start seeds *)
+  mutable sampled : int;  (** fresh evaluations measured as sampled estimates *)
+  mutable batched_groups : int;  (** sweep groups measured by multi-plan replay *)
+  mutable batched_candidates : int;  (** candidates covered by those groups *)
+  mutable repriced : int;
       (** candidates priced by the incremental repricer, never replayed *)
-  repriced_joint : int;
+  mutable repriced_joint : int;
       (** the subset of [repriced] priced by the joint multi-array
           slack model (more than one array's distance varied) *)
-  confirmed : int;  (** exact leaderboard confirmations run *)
-  confirm_skipped : int;
+  mutable confirmed : int;  (** exact leaderboard confirmations run *)
+  mutable confirm_skipped : int;
       (** leaderboard confirmations skipped by the adaptive policy *)
 }
 
 val stats : t -> stats
-
-(** The nonzero typed-failure counters, as [(label, count)] pairs. *)
-val failure_breakdown : stats -> (string * int) list
 
 (** The headline telemetry line ([eco tune]'s [engine:] line); appends
     the failure breakdown, retry and fallback counts when nonzero. *)

@@ -72,27 +72,49 @@ let evaluate st ~bindings ~prefetch =
   | Some ev -> Some (consider st ~bindings ~prefetch ev)
   | None -> None
 
-(* Evaluate an independent candidate neighbourhood as one engine batch
-   (parallel when the engine has jobs > 1) and return the best improving
-   candidate, breaking ties towards the earliest — the same selection a
-   serial fold over the list makes. *)
-let evaluate_sweep st ~prefetch candidates =
-  let prefetch = List.sort compare prefetch in
-  let candidates = List.map (List.sort compare) candidates in
+(* The first minimum by score, continuing from [init]: a later
+   candidate replaces the incumbent only when strictly lower, so ties go
+   to the earliest.  Every selection fold of the search uses it. *)
+let argmin init scored =
+  List.fold_left
+    (fun acc (x, c) ->
+      match acc with Some (_, c') when c' <= c -> acc | _ -> Some (x, c))
+    init scored
+
+(* Evaluate independent [(bindings, prefetch)] points as one engine
+   batch (parallel when the engine has jobs > 1) and score the measured
+   ones, in order.  With [fold], each result also goes through
+   [consider]; sampled rankings pass [false], so their estimates never
+   reach [st.best] or the leaderboard. *)
+let measure_batch st ~fold points =
+  let points =
+    List.map
+      (fun (bindings, prefetch) ->
+        (List.sort compare bindings, List.sort compare prefetch))
+      points
+  in
   let evs =
     Engine.evaluate_batch st.engine ?log:st.log
-      (List.map (fun bindings -> request st ~bindings ~prefetch) candidates)
+      (List.map (fun (bindings, prefetch) -> request st ~bindings ~prefetch) points)
   in
-  List.fold_left2
-    (fun acc bindings ev ->
-      match ev with
-      | None -> acc
-      | Some ev -> (
-        let c = consider st ~bindings ~prefetch ev in
-        match acc with
-        | Some (_, c') when c' <= c -> acc
-        | _ -> Some (bindings, c)))
-    None candidates evs
+  List.concat
+    (List.map2
+       (fun ((bindings, prefetch) as point) ev ->
+         match ev with
+         | None -> []
+         | Some ev when fold -> [ (point, consider st ~bindings ~prefetch ev) ]
+         | Some ev -> [ (point, score st ev.Engine.measurement) ])
+       points evs)
+
+(* Evaluate a candidate neighbourhood under one prefetch plan as one
+   batch and return the best candidate, breaking ties towards the
+   earliest — the same selection a serial fold over the list makes. *)
+let evaluate_sweep st ~prefetch candidates =
+  argmin None
+    (List.map
+       (fun ((bindings, _), c) -> (bindings, c))
+       (measure_batch st ~fold:true
+          (List.map (fun bindings -> (bindings, prefetch)) candidates)))
 
 (* --- stage search over a subset of parameters --- *)
 
@@ -105,9 +127,9 @@ let set_params bindings updates =
    (the model's initial point: the footprint heuristic saturates the
    capacity constraints).  Pure constraint arithmetic — no simulation,
    so it does not go through the engine. *)
-let initial_uniform st stage bindings =
+let initial_uniform variant ~n stage bindings =
   let feasible_at m =
-    Variant.feasible st.variant ~n:st.n
+    Variant.feasible variant ~n
       (set_params bindings (List.map (fun p -> (p, m)) stage))
   in
   let rec grow m = if m * 2 <= 4096 && feasible_at (m * 2) then grow (m * 2) else m in
@@ -146,23 +168,33 @@ let rec shape_walk st stage ~prefetch bindings current =
   | Some (cand, c) when c < current -> shape_walk st stage ~prefetch cand c
   | _ -> (bindings, current)
 
-(* Linear refinement: nudge each parameter by +-delta while improving;
-   each round's candidates are independent and batched. *)
-let rec linear_refine st stage ~prefetch ~delta bindings current =
-  let candidates =
-    List.concat_map
-      (fun p ->
-        let v = List.assoc p bindings in
-        let d = delta p in
-        List.filter_map
-          (fun v' -> if v' >= 1 && v' <> v then Some (set_params bindings [ (p, v') ]) else None)
-          [ v + d; v - d ])
-      stage
-  in
-  match evaluate_sweep st ~prefetch candidates with
-  | Some (cand, c) when c < current ->
-    linear_refine st stage ~prefetch ~delta cand c
-  | _ -> (bindings, current)
+(* The +-delta neighbourhood of [bindings] over [stage]: per parameter
+   in stage order, the + move before the - move, dropping values below
+   1 and moves that change nothing. *)
+let neighbours stage ~delta bindings =
+  List.concat_map
+    (fun p ->
+      let v = List.assoc p bindings in
+      let d = delta p in
+      List.filter_map
+        (fun v' ->
+          if v' >= 1 && v' <> v then Some (set_params bindings [ (p, v') ])
+          else None)
+        [ v + d; v - d ])
+    stage
+
+(* Linear refinement: nudge each parameter by +-delta while improving,
+   for at most [rounds] rounds; each round's candidates are independent
+   and batched.  The staged search runs it uncapped ([max_int]); the
+   armed, warm and polish paths trade the long tail of the descent for
+   a bounded simulation count. *)
+let rec linear_refine st stage ~prefetch ~delta ~rounds bindings current =
+  if rounds <= 0 then (bindings, current)
+  else
+    match evaluate_sweep st ~prefetch (neighbours stage ~delta bindings) with
+    | Some (cand, c) when c < current ->
+      linear_refine st stage ~prefetch ~delta ~rounds:(rounds - 1) cand c
+    | _ -> (bindings, current)
 
 let stage_search st stage ~prefetch ~delta bindings =
   if stage = [] then
@@ -170,7 +202,7 @@ let stage_search st stage ~prefetch ~delta bindings =
     | Some c -> Some (bindings, c)
     | None -> None
   else
-    match initial_uniform st stage bindings with
+    match initial_uniform st.variant ~n:st.n stage bindings with
     | None -> None
     | Some m0 ->
       (* The model-initial footprint is feasible by construction, so a
@@ -205,7 +237,9 @@ let stage_search st stage ~prefetch ~delta bindings =
             | _ -> (bindings, current)
         in
         let bindings, current = outer start c0 in
-        Some (linear_refine st stage ~prefetch ~delta bindings current))
+        Some
+          (linear_refine st stage ~prefetch ~delta ~rounds:max_int bindings
+             current))
 
 (* "To simplify the code generated, tiling parameter values that are
    multiples of any tile size or unroll factor previously selected are
@@ -335,15 +369,10 @@ let stage_grid ?buckets st stage ~prefetch ~values bindings =
               tagged)
           ids
     in
-    List.fold_left
-      (fun acc candidates ->
-        match evaluate_sweep st ~prefetch (cap 512 candidates) with
-        | Some (b, c) -> (
-          match acc with
-          | Some (_, c') when c' <= c -> acc
-          | _ -> Some (b, c))
-        | None -> acc)
-      None groups
+    argmin None
+      (List.filter_map
+         (fun candidates -> evaluate_sweep st ~prefetch (cap 512 candidates))
+         groups)
 
 let unroll_grid_values _ = [ 1; 2; 3; 4; 5; 6; 8 ]
 
@@ -354,10 +383,6 @@ let tile_grid_values st m0 _ =
   let rec pows v acc = if v > st.n then acc else pows (v * 2) (v :: acc) in
   List.sort_uniq compare (List.filter (fun v -> v >= 1) (around @ pows 8 []))
 
-(* Batched prefetch search: each round proposes (array, distance)
-   extensions of the chosen layer for every remaining array as one
-   batch, commits the best improving one, and stops when no extension
-   improves. *)
 (* Prefetch candidates get simulated exhaustively: the analytical
    model ranks loop restructurings well but barely distinguishes
    prefetch distances, so each sweep is chunked into batches no larger
@@ -365,8 +390,6 @@ let tile_grid_values st m0 _ =
    skipped.  Prefetch sweeps are small (arrays x distances), so this
    stays cheap. *)
 let evaluate_prefetch_sweep st ~bindings prefs =
-  let bindings = List.sort compare bindings in
-  let prefs = List.map (List.sort compare) prefs in
   let chunk =
     match Engine.prefilter st.engine with
     | Some k -> max 1 k
@@ -386,41 +409,41 @@ let evaluate_prefetch_sweep st ~bindings prefs =
   in
   List.fold_left
     (fun acc prefs ->
-      let evs =
-        Engine.evaluate_batch st.engine ?log:st.log
-          (List.map (fun prefetch -> request st ~bindings ~prefetch) prefs)
-      in
-      List.fold_left2
-        (fun acc prefetch ev ->
-          match ev with
-          | None -> acc
-          | Some ev -> (
-            let c = consider st ~bindings ~prefetch ev in
-            match acc with
-            | Some (_, c') when c' <= c -> acc
-            | _ -> Some (prefetch, c)))
-        acc prefs evs)
+      argmin acc
+        (List.map
+           (fun ((_, prefetch), c) -> (prefetch, c))
+           (measure_batch st ~fold:true
+              (List.map (fun prefetch -> (bindings, prefetch)) prefs))))
     None (chunks prefs)
 
+(* The prefetch distance grid of the batched prefetch passes. *)
+let prefetch_distances = [ 2; 4; 8; 16 ]
+
+(* The prefetchable arrays of the point's program, [None] when the
+   variant cannot be instantiated at [bindings]. *)
+let prefetch_arrays st ~bindings =
+  Option.map Transform.Prefetch_insert.candidates
+    (Engine.build st.engine (request st ~bindings ~prefetch:[]))
+
+(* Fixed-order greedy: visit each prefetchable array once, [sweep] the
+   distance grid on top of what's committed so far, and keep the best
+   improving extension over [base].  One pass costs |arrays| x
+   |distances| simulations — the committed set usually ends up
+   covering every array anyway, so a free-order greedy's extra rounds
+   buy little. *)
+let prefetch_greedy ~sweep arrays base =
+  List.fold_left
+    (fun (chosen, best_c) a ->
+      match sweep (List.map (fun d -> (a, d) :: chosen) prefetch_distances) with
+      | Some (p, c) when c < best_c -> (p, c)
+      | _ -> (chosen, best_c))
+    ([], base) arrays
+
 let prefetch_search_armed st ~bindings current =
-  match Engine.build st.engine (request st ~bindings ~prefetch:[]) with
+  match prefetch_arrays st ~bindings with
   | None -> ([], current)
-  | Some program ->
-    let arrays = Transform.Prefetch_insert.candidates program in
-    let distances = [ 2; 4; 8; 16 ] in
-    (* Fixed-order greedy: visit each prefetchable array once, try the
-       distance grid on top of what's committed so far, and keep the
-       best improving extension.  One pass costs |arrays| x |distances|
-       simulations — the committed set usually ends up covering every
-       array anyway, so the free-order greedy's extra rounds buy
-       little. *)
-    List.fold_left
-      (fun (chosen, best_c) a ->
-        let prefs = List.map (fun d -> (a, d) :: chosen) distances in
-        match evaluate_prefetch_sweep st ~bindings prefs with
-        | Some (p, c) when c < best_c -> (p, c)
-        | _ -> (chosen, best_c))
-      ([], current) arrays
+  | Some arrays ->
+    prefetch_greedy ~sweep:(evaluate_prefetch_sweep st ~bindings) arrays current
 
 (* Coordinate descent over an existing prefetch plan: for each
    prefetchable array in turn, try the distance grid — and dropping the
@@ -433,16 +456,16 @@ let prefetch_search_armed st ~bindings current =
    most: the second only runs when the first improved, to let an early
    array's distance adapt to a later array's insertion. *)
 let prefetch_refine st ~bindings start current =
-  match Engine.build st.engine (request st ~bindings ~prefetch:[]) with
+  match prefetch_arrays st ~bindings with
   | None -> (start, current)
-  | Some program ->
-    let arrays = Transform.Prefetch_insert.candidates program in
-    let distances = [ 2; 4; 8; 16 ] in
+  | Some arrays ->
     let pass state =
       List.fold_left
         (fun (chosen, best_c) a ->
           let rest = List.filter (fun (a', _) -> a' <> a) chosen in
-          let prefs = rest :: List.map (fun d -> (a, d) :: rest) distances in
+          let prefs =
+            rest :: List.map (fun d -> (a, d) :: rest) prefetch_distances
+          in
           match evaluate_prefetch_sweep st ~bindings prefs with
           | Some (p, c) when c < best_c -> (p, c)
           | _ -> (chosen, best_c))
@@ -451,58 +474,35 @@ let prefetch_refine st ~bindings start current =
     let r1 = pass (start, current) in
     if snd r1 < current then pass r1 else r1
 
-(* Like [linear_refine], but with a round cap: the armed path trades
-   the long tail of the descent for a bounded simulation count. *)
-let rec linear_refine_capped st stage ~prefetch ~delta ~rounds bindings current
-    =
-  if rounds <= 0 then (bindings, current)
-  else
-    let candidates =
-      List.concat_map
-        (fun p ->
-          let v = List.assoc p bindings in
-          let d = delta p in
-          List.filter_map
-            (fun v' ->
-              if v' >= 1 && v' <> v then Some (set_params bindings [ (p, v') ])
-              else None)
-            [ v + d; v - d ])
-        stage
-    in
-    match evaluate_sweep st ~prefetch candidates with
-    | Some (cand, c) when c < current ->
-      linear_refine_capped st stage ~prefetch ~delta ~rounds:(rounds - 1) cand c
-    | _ -> (bindings, current)
-
 (* Force-simulate a handful of anchor points (each a singleton batch,
    which the pre-filter never skips): the model's ranking is only
    trusted within a batch, so the capacity-filling uniform points the
    constraints recommend always get measured even when the model's
    top-k looks elsewhere. *)
 let evaluate_anchors st ~prefetch anchors best =
-  List.fold_left
-    (fun acc bindings ->
-      match evaluate st ~bindings ~prefetch with
-      | Some c -> (
-        match acc with
-        | Some (_, c') when c' <= c -> acc
-        | _ -> Some (bindings, c))
-      | None -> acc)
-    best anchors
+  argmin best
+    (List.filter_map
+       (fun bindings ->
+         Option.map (fun c -> (bindings, c)) (evaluate st ~bindings ~prefetch))
+       anchors)
 
 let tune_armed st =
   let unroll_params = List.map snd st.variant.Variant.unrolls in
   let tile_params = List.map snd st.variant.Variant.tiles in
   let start = List.map (fun p -> (p, 1)) (unroll_params @ tile_params) in
   let m0 =
-    match initial_uniform st tile_params start with Some m -> m | None -> 1
+    match initial_uniform st.variant ~n:st.n tile_params start with
+    | Some m -> m
+    | None -> 1
   in
   let start =
     if tile_params = [] then start
     else set_params start (List.map (fun p -> (p, m0)) tile_params)
   in
   let u0 =
-    match initial_uniform st unroll_params start with Some m -> m | None -> 1
+    match initial_uniform st.variant ~n:st.n unroll_params start with
+    | Some m -> m
+    | None -> 1
   in
   let stage1 =
     let best =
@@ -548,7 +548,7 @@ let tune_armed st =
       let line = line_elems st in
       let delta p = if List.mem p unroll_params then 1 else max 1 line in
       let b2, c2 =
-        linear_refine_capped st
+        linear_refine st
           (unroll_params @ tile_params)
           ~prefetch:[] ~delta ~rounds:2 b2 c2
       in
@@ -557,7 +557,7 @@ let tune_armed st =
          latency/issue balance, which can move the best tile/unroll
          point by a notch. *)
       let b3, c4 =
-        linear_refine_capped st
+        linear_refine st
           (unroll_params @ tile_params)
           ~prefetch ~delta ~rounds:1 b2 c3
       in
@@ -587,12 +587,9 @@ let confirm_noisy st =
           | None -> None)
         st.top
     in
-    match confirmed with
-    | [] -> st.best
-    | hd :: tl ->
-      Some (fst (List.fold_left (fun (_, ca as a) (_, cb as b) ->
-                     if cb < ca then b else a)
-                   hd tl))
+    match argmin None confirmed with
+    | None -> st.best
+    | Some (o, _) -> Some o
 
 (* How many leaderboard entries a sampled search must re-measure
    exactly.  The fixed top-5 confirmation pays five exact replays per
@@ -606,20 +603,16 @@ let confirm_noisy st =
    rate is <= 2% one confirmation suffices, <= 15% keeps a safety
    second, anything worse falls back to the full leaderboard.  The
    floor of one is never crossed — the reported [performance:] is
-   always an exact measurement — and [--confirm] overrides the policy
-   with a fixed size. *)
+   always an exact measurement. *)
 let min_rank_pairs = 4
 
 let confirm_quota st =
-  match Engine.confirm_override st.engine with
-  | Some k -> max 1 k
-  | None ->
-    let kernel = st.variant.Variant.kernel.Kernels.Kernel.name in
-    let pairs, inversions = Engine.rank_quality st.engine ~kernel in
-    if pairs < min_rank_pairs then leaderboard_size
-    else
-      let rate = float_of_int inversions /. float_of_int pairs in
-      if rate <= 0.02 then 1 else if rate <= 0.15 then 2 else leaderboard_size
+  let kernel = st.variant.Variant.kernel.Kernels.Kernel.name in
+  let pairs, inversions = Engine.rank_quality st.engine ~kernel in
+  if pairs < min_rank_pairs then leaderboard_size
+  else
+    let rate = float_of_int inversions /. float_of_int pairs in
+    if rate <= 0.02 then 1 else if rate <= 0.15 then 2 else leaderboard_size
 
 (* A runner-up beating the front-runner within the sampled-search
    degradation budget (2%) is harmless — either choice is an
@@ -695,14 +688,49 @@ let confirm_exact st ~quota =
       kept
   in
   record_rank_evidence st confirmed;
-  match confirmed with
-  | [] -> st.best
-  | hd :: tl ->
-    Some (fst (List.fold_left (fun (_, ca as a) (_, cb as b) ->
-                   if cb < ca then b else a)
-                 hd tl))
+  match argmin None confirmed with
+  | None -> st.best
+  | Some (o, _) -> Some o
 
-(* One ±delta descent round where the neighbourhood is RANKED with
+(* Run [f] with the engine's sampling spec set to [sp], restoring the
+   previous spec however [f] exits. *)
+let with_sampling engine sp f =
+  let saved = Engine.sampling engine in
+  Fun.protect
+    ~finally:(fun () -> Engine.set_sampling engine saved)
+    (fun () ->
+      Engine.set_sampling engine sp;
+      f ())
+
+(* Rank [points] on sampled estimates: no [consider], so the scores
+   never touch [st.best]. *)
+let rank_sampled st ~sampling points =
+  with_sampling st.engine (Some sampling) (fun () ->
+      measure_batch st ~fold:false points)
+
+(* The grow-from-empty prefetch greedy re-run under sampled estimates:
+   every sweep is ranked on cheap sampled replays, and only the final
+   plan is returned for one exact confirmation by the caller.  Both the
+   baseline and the candidates are scored sampled, so the greedy
+   compares like with like. *)
+let prefetch_greedy_sampled st ~sampling ~bindings ~start =
+  match prefetch_arrays st ~bindings with
+  | None -> None
+  | Some arrays -> (
+    let sweep prefs =
+      argmin None
+        (List.map
+           (fun ((_, prefetch), c) -> (prefetch, c))
+           (rank_sampled st ~sampling
+              (List.map (fun prefetch -> (bindings, prefetch)) prefs)))
+    in
+    match sweep [ start ] with
+    | None -> None
+    | Some (_, base_c) ->
+      let plan, c = prefetch_greedy ~sweep arrays base_c in
+      if c < base_c && plan <> [] then Some plan else None)
+
+(* One +-delta descent round where the neighbourhood is RANKED with
    sampled estimates and only the apparent winner is re-measured at
    exact precision.  The neighbourhood of a confirmed winner was
    largely visited during sampled steering, so the ranking sweep is
@@ -713,98 +741,21 @@ let confirm_exact st ~quota =
    exact tier the top three instead of the argmin covers the observed
    inversions), and a pick is kept only if it beats the incumbent's
    exact score, so a mis-ranked neighbour costs an opportunity, never
-   correctness.  Sampled scores never reach [consider] — [st.best]
-   sees only exact measurements.  Caller must have sampling disabled
-   on entry; it is restored to disabled on exit. *)
+   correctness. *)
 let refine_confirm_top = 3
 
-(* The grow-from-empty prefetch greedy re-run under sampled estimates:
-   every sweep is ranked on cheap sampled replays (no [consider] — the
-   scores never touch [st.best]), and only the final plan is returned
-   for one exact confirmation by the caller.  Both the baseline and the
-   candidates are scored sampled, so the greedy compares like with
-   like.  Caller must have sampling disabled on entry; restored on
-   exit. *)
-let prefetch_greedy_sampled st ~sampling ~bindings ~start =
-  Fun.protect
-    ~finally:(fun () -> Engine.set_sampling st.engine None)
-    (fun () ->
-      Engine.set_sampling st.engine (Some sampling);
-      match Engine.build st.engine (request st ~bindings ~prefetch:[]) with
-      | None -> None
-      | Some program ->
-        let bindings = List.sort compare bindings in
-        let sweep prefs =
-          let prefs = List.map (List.sort compare) prefs in
-          let evs =
-            Engine.evaluate_batch st.engine ?log:st.log
-              (List.map (fun prefetch -> request st ~bindings ~prefetch) prefs)
-          in
-          List.fold_left2
-            (fun acc prefetch ev ->
-              match ev with
-              | None -> acc
-              | Some ev -> (
-                let c = score st ev.Engine.measurement in
-                match acc with
-                | Some (_, c') when c' <= c -> acc
-                | _ -> Some (prefetch, c)))
-            None prefs evs
-        in
-        let arrays = Transform.Prefetch_insert.candidates program in
-        let distances = [ 2; 4; 8; 16 ] in
-        match sweep [ List.sort compare start ] with
-        | None -> None
-        | Some (_, base_c) ->
-          let plan, c =
-            List.fold_left
-              (fun (chosen, best_c) a ->
-                let prefs = List.map (fun d -> (a, d) :: chosen) distances in
-                match sweep prefs with
-                | Some (p, c) when c < best_c -> (p, c)
-                | _ -> (chosen, best_c))
-              ([], base_c) arrays
-          in
-          if c < base_c && plan <> [] then Some plan else None)
-
 let refine_round_sampled st ~sampling stage ~prefetch ~delta bindings current =
-  let candidates =
-    List.concat_map
-      (fun p ->
-        let v = List.assoc p bindings in
-        let d = delta p in
-        List.filter_map
-          (fun v' ->
-            if v' >= 1 && v' <> v then Some (set_params bindings [ (p, v') ])
-            else None)
-          [ v + d; v - d ])
-      stage
-  in
   let ranked =
-    Fun.protect
-      ~finally:(fun () -> Engine.set_sampling st.engine None)
-      (fun () ->
-        Engine.set_sampling st.engine (Some sampling);
-        let prefetch = List.sort compare prefetch in
-        let candidates = List.map (List.sort compare) candidates in
-        let evs =
-          Engine.evaluate_batch st.engine ?log:st.log
-            (List.map
-               (fun bindings -> request st ~bindings ~prefetch)
-               candidates)
-        in
-        List.sort
-          (fun (_, a) (_, b) -> compare a b)
-          (List.concat
-             (List.map2
-                (fun bindings ev ->
-                  match ev with
-                  | None -> []
-                  | Some ev -> [ (bindings, score st ev.Engine.measurement) ])
-                candidates evs)))
+    List.sort
+      (fun (_, a) (_, b) -> compare a b)
+      (rank_sampled st ~sampling
+         (List.map
+            (fun cand -> (cand, prefetch))
+            (neighbours stage ~delta bindings)))
   in
   let picks =
-    List.filteri (fun i _ -> i < refine_confirm_top) ranked |> List.map fst
+    List.filteri (fun i _ -> i < refine_confirm_top) ranked
+    |> List.map (fun ((cand, _), _) -> cand)
   in
   List.fold_left
     (fun (bindings, current) cand ->
@@ -824,7 +775,8 @@ let refine_round_sampled st ~sampling stage ~prefetch ~delta bindings current =
    ([refine_round_sampled]) and exact-measure only the pick — the
    neighbourhood sweep is the polish's dominant cost, and ranking it at
    full precision buys nothing the single exact confirmation doesn't.
-   Caller must have sampling disabled. *)
+   Caller must have sampling disabled, so every exact step measures
+   exactly. *)
 let polish_exact ?sampling st =
   match st.best with
   | None -> ()
@@ -839,18 +791,10 @@ let polish_exact ?sampling st =
       | Some sp ->
         refine_round_sampled st ~sampling:sp stage ~prefetch ~delta bindings
           current
-      | None ->
-        linear_refine_capped st stage ~prefetch ~delta ~rounds:1 bindings
-          current
+      | None -> linear_refine st stage ~prefetch ~delta ~rounds:1 bindings current
     in
     let c0 = score st o.measurement in
     let b1, c1 = round ~prefetch:o.prefetch o.bindings c0 in
-    (* Two complementary prefetch passes: coordinate descent from the
-       confirmed incumbent (reaches joint plans the greedy can't), then
-       the grow-from-empty greedy (escapes coupled local minima the
-       descent can't — an incumbent with a bad near distance on every
-       array blocks any single-array move).  Keep whichever lands
-       lower. *)
     (* Two complementary prefetch passes: coordinate descent from the
        confirmed incumbent (reaches joint plans the greedy can't), and —
        only when the descent stalls — the grow-from-empty greedy, which
@@ -883,11 +827,8 @@ let polish_exact ?sampling st =
 let confirm_best st =
   match Engine.sampling st.engine with
   | None -> confirm_noisy st
-  | Some _ as saved ->
-    Fun.protect
-      ~finally:(fun () -> Engine.set_sampling st.engine saved)
-      (fun () ->
-        Engine.set_sampling st.engine None;
+  | Some _ ->
+    with_sampling st.engine None (fun () ->
         let quota = confirm_quota st in
         st.best <- confirm_exact st ~quota;
         (* The exact polish — the costly part of the tail, a few dozen
@@ -907,11 +848,8 @@ let confirm_best st =
 let polish_winner engine ~n ~mode ?log (o : outcome) =
   match Engine.sampling engine with
   | None -> o
-  | Some _ as saved ->
-    Fun.protect
-      ~finally:(fun () -> Engine.set_sampling engine saved)
-      (fun () ->
-        Engine.set_sampling engine None;
+  | Some _ ->
+    with_sampling engine None (fun () ->
         let st =
           { engine; n; mode; log; variant = o.variant; best = Some o; top = [] }
         in
@@ -920,32 +858,17 @@ let polish_winner engine ~n ~mode ?log (o : outcome) =
 
 let model_point _machine ~n variant =
   (* Pure constraint arithmetic — no engine, no simulation. *)
-  let feasible_at bindings = Variant.feasible variant ~n bindings in
-  let uniform stage bindings =
-    let at m = feasible_at (set_params bindings (List.map (fun p -> (p, m)) stage)) in
-    let rec grow m = if m * 2 <= 4096 && at (m * 2) then grow (m * 2) else m in
-    let rec refine lo hi =
-      if hi - lo <= 1 then if at hi then hi else lo
-      else
-        let mid = (lo + hi) / 2 in
-        if at mid then refine mid hi else refine lo mid
-    in
-    if not (at 1) then None
-    else
-      let m = grow 1 in
-      Some (if at (m * 2) then m * 2 else refine m (m * 2))
-  in
   let unroll_params = List.map snd variant.Variant.unrolls in
   let tile_params = List.map snd variant.Variant.tiles in
   let start = List.map (fun p -> (p, 1)) (unroll_params @ tile_params) in
-  match uniform tile_params start with
+  match initial_uniform variant ~n tile_params start with
   | None -> None
-  | Some mt ->
+  | Some mt -> (
     let with_tiles =
       if tile_params = [] then start
       else set_params start (List.map (fun p -> (p, mt)) tile_params)
     in
-    (match uniform unroll_params with_tiles with
+    match initial_uniform variant ~n unroll_params with_tiles with
     | None -> None
     | Some mu ->
       if unroll_params = [] then Some with_tiles
@@ -1035,17 +958,16 @@ let warm_tune st =
     let rounds_pre = if far then 4 else 2 in
     let rounds_post = if far then 2 else 1 in
     let distance_scales = if far then [ 1; 2; 3; 4; 6; 8 ] else [ 1; 2; 4; 8 ] in
+    let measured ((bindings, prefetch) as point) =
+      Option.map (fun c -> (point, c)) (evaluate st ~bindings ~prefetch)
+    in
     let best =
-      List.fold_left
-        (fun acc (bindings, prefetch) ->
-          Engine.note_warm_start st.engine ?log:st.log ();
-          match evaluate st ~bindings ~prefetch with
-          | Some c -> (
-            match acc with
-            | Some (_, _, c') when c' <= c -> acc
-            | _ -> Some (bindings, prefetch, c))
-          | None -> acc)
-        None seeds
+      argmin None
+        (List.filter_map
+           (fun seed ->
+             Engine.note_warm_start st.engine ?log:st.log ();
+             measured seed)
+           seeds)
     in
     (* Classical guard anchor: the constraints' capacity-filling point,
        so a transfer from a poorly-matched donor can never drag the
@@ -1056,18 +978,13 @@ let warm_tune st =
     let best =
       match model_point (Engine.machine st.engine) ~n:st.n st.variant with
       | None -> best
-      | Some b -> (
-        let pf = match best with Some (_, pf, _) -> pf | None -> [] in
-        match evaluate st ~bindings:b ~prefetch:pf with
-        | Some c -> (
-          match best with
-          | Some (_, _, c') when c' <= c -> best
-          | _ -> Some (b, pf, c))
-        | None -> best)
+      | Some b ->
+        let pf = match best with Some ((_, pf), _) -> pf | None -> [] in
+        argmin best (Option.to_list (measured (b, pf)))
     in
     match best with
     | None -> None
-    | Some (b0, pf0, c0) ->
+    | Some ((b0, pf0), c0) ->
       let unroll_params = List.map snd st.variant.Variant.unrolls in
       let tile_params = List.map snd st.variant.Variant.tiles in
       (* Capacity re-saturation anchor: the donor's tiles were sized for
@@ -1077,7 +994,7 @@ let warm_tune st =
          warm start track the growing optimum instead of being pinned
          to the donor's footprint. *)
       let b0, pf0, c0 =
-        match initial_uniform st tile_params b0 with
+        match initial_uniform st.variant ~n:st.n tile_params b0 with
         | Some m0 when tile_params <> [] ->
           let cand =
             set_params b0 (List.map (fun p -> (p, m0)) tile_params)
@@ -1092,7 +1009,7 @@ let warm_tune st =
       let line = line_elems st in
       let delta p = if List.mem p unroll_params then 1 else max 1 line in
       let b1, c1 =
-        linear_refine_capped st
+        linear_refine st
           (unroll_params @ tile_params)
           ~prefetch:pf0 ~delta ~rounds:rounds_pre b0 c0
       in
@@ -1130,7 +1047,7 @@ let warm_tune st =
       (* keep the transferred plan when the retune does not beat it *)
       let pf, c2 = if c2 < c1 then (pf, c2) else (pf0, c1) in
       let b2, c3 =
-        linear_refine_capped st
+        linear_refine st
           (unroll_params @ tile_params)
           ~prefetch:pf ~delta ~rounds:rounds_post b1 c2
       in
@@ -1156,7 +1073,7 @@ let tune_variant engine ~n ~mode ~log variant =
      values before searching the register tiles, so stage 1 does not run
      against degenerate size-1 tiles. *)
   let start =
-    match initial_uniform st tile_params start with
+    match initial_uniform variant ~n tile_params start with
     | Some m when tile_params <> [] ->
       set_params start (List.map (fun p -> (p, m)) tile_params)
     | _ -> start

@@ -133,6 +133,41 @@ let test_batch_matches_serial_evaluates () =
   Alcotest.(check bool) "same counters" true
     (counters batch_engine = counters serial_engine)
 
+(* The daemon's interleaving contract: the yield hook (where a
+   scheduler may suspend the search) runs once at the top of every
+   batch and never inside a singleton [evaluate], which takes only the
+   poll/deadline interruption point.  The batch holds a prefetch sweep
+   so the fast path walks a group. *)
+let test_yield_only_at_batch_boundaries () =
+  let v = variant () in
+  List.iter
+    (fun path ->
+      let e = Core.Engine.create ~path sgi in
+      let yields = ref 0 and polls = ref 0 in
+      Core.Engine.set_yield e (Some (fun () -> incr yields));
+      Core.Engine.set_poll e (Some (fun () -> incr polls));
+      let bindings = some_point e v ~n:32 in
+      let req ?prefetch n = Core.Engine.request ?prefetch v ~n ~mode:fast ~bindings in
+      let arrays =
+        match Core.Engine.build e (req 32) with
+        | Some p -> Transform.Prefetch_insert.candidates p
+        | None -> Alcotest.fail "test point does not instantiate"
+      in
+      let a = List.hd arrays in
+      ignore (Core.Engine.evaluate e (req 32));
+      ignore (Core.Engine.evaluate e (req 32));
+      ignore (Core.Engine.evaluate e (req ~prefetch:[ (a, 2) ] 32));
+      Alcotest.(check int) "singleton evaluate never yields" 0 !yields;
+      Alcotest.(check bool) "singleton evaluate polls" true (!polls > 0);
+      ignore
+        (Core.Engine.evaluate_batch e
+           [ req 24; req ~prefetch:[ (a, 4) ] 32; req ~prefetch:[ (a, 8) ] 32 ]);
+      Alcotest.(check int) "a batch yields exactly once" 1 !yields;
+      if path = Core.Executor.Fast then
+        Alcotest.(check int) "the sweep was walked as a group" 1
+          (Core.Engine.stats e).Core.Engine.batched_groups)
+    [ Core.Executor.Fast; Core.Executor.Closures ]
+
 (* --- telemetry --- *)
 
 let test_telemetry_adds_up () =
@@ -465,6 +500,8 @@ let suite =
       test_jobs_same_best;
     Alcotest.test_case "batch matches serial evaluation" `Quick
       test_batch_matches_serial_evaluates;
+    Alcotest.test_case "yield hook only at batch boundaries" `Quick
+      test_yield_only_at_batch_boundaries;
     Alcotest.test_case "telemetry counters add up" `Quick
       test_telemetry_adds_up;
     Alcotest.test_case "measure_program memoizes" `Quick

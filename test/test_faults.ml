@@ -374,7 +374,8 @@ let test_protocol_kill_resume_grouped () =
    pinned here with every tag-relevant flag set ([-m sun -k matvec -n 32
    -b 20000 --objective energy --prefilter 3 --closures --faults
    seed=5,transient=0.1 --trials 3 --retries 1 --db F --no-warm-start
-   --sample shrink=4,window=2048 --incremental --confirm 2]). *)
+   --sample shrink=4,window=2048 --incremental]).  [confirm=adaptive] is
+   a frozen literal: the confirm-set size is no longer configurable. *)
 let test_run_tag_every_flag () =
   let file = Filename.temp_file "eco_tag" ".db" in
   Sys.remove file;
@@ -388,11 +389,10 @@ let test_run_tag_every_flag () =
   Core.Engine.set_sampling e
     (Some (Memsim.Sampling.parse "shrink=4,window=2048"));
   Core.Engine.set_incremental e true;
-  Core.Engine.set_confirm_override e (Some 2);
   let db = Perfdb.load file in
   Core.Engine.set_db e ~warm_start:false db;
   Alcotest.(check string) "pinned tag"
-    "tune|m=Sun UltraSparc IIe|k=matvec|n=32|b=20000|path=closures|faults=seed=5,transient=0.1|trials=3|retries=1|obj=energy|pf=3|db=exact|sample=shrink=4,window=2048,gap=28672,warm=2048|batch=on|incr=on|confirm=2"
+    "tune|m=Sun UltraSparc IIe|k=matvec|n=32|b=20000|path=closures|faults=seed=5,transient=0.1|trials=3|retries=1|obj=energy|pf=3|db=exact|sample=shrink=4,window=2048,gap=28672,warm=2048|batch=on|incr=on|confirm=adaptive"
     (Core.Engine.run_tag e ~kernel:Kernels.Matvec.kernel ~n:32 ~budget:20_000);
   Perfdb.close db;
   try Sys.remove file with Sys_error _ -> ()
@@ -407,6 +407,75 @@ let test_checkpoint_tag_mismatch_refuses () =
   (match Core.Engine.load_checkpoint b ~tag:"run-B" file with
   | exception Core.Engine.Checkpoint_mismatch _ -> ()
   | _ -> Alcotest.fail "loaded a checkpoint from a different run");
+  Sys.remove file
+
+(* The checkpoint carries the engine's [stats] record whole: a save
+   from a run that moved nearly every counter (sampling, incremental
+   repricing, pre-filter, faults absorbed by retries and trials), loaded
+   into a fresh engine, restores every field — except the demand-trace
+   cache counters, which belong to the loading engine's own (empty)
+   cache. *)
+let test_checkpoint_roundtrip_restores_stats () =
+  let file = Filename.temp_file "eco_ck" ".bin" in
+  let engine () =
+    Core.Engine.create ~faults:(benign ()) ~protocol:three_trials
+      ~prefilter:Core.Engine.default_prefilter sgi
+  in
+  let a = engine () in
+  Core.Engine.set_sampling a (Some Memsim.Sampling.default);
+  Core.Engine.set_incremental a true;
+  Core.Engine.set_checkpoint a ~tag:"roundtrip" file;
+  ignore (ck_tune a);
+  Core.Engine.checkpoint_now a;
+  let saved = Core.Engine.stats a in
+  Alcotest.(check bool) "the run filled the trace cache" true
+    (saved.Core.Engine.trace_fills > 0);
+  Alcotest.(check bool) "the run absorbed faults" true
+    (saved.Core.Engine.retries > 0);
+  let b = engine () in
+  (match Core.Engine.load_checkpoint b ~tag:"roundtrip" file with
+  | None -> Alcotest.fail "checkpoint did not load"
+  | Some resume ->
+    Alcotest.(check int) "resumed fresh" saved.Core.Engine.fresh
+      resume.Core.Engine.resumed_fresh);
+  Alcotest.(check bool) "every counter but the cache's restored" true
+    (Core.Engine.stats b
+    = {
+        saved with
+        Core.Engine.trace_hits = 0;
+        trace_fills = 0;
+        fill_seconds = 0.0;
+      });
+  let kernel = Matmul.kernel.Kernels.Kernel.name in
+  Alcotest.(check (pair int int)) "rank-quality record restored"
+    (Core.Engine.rank_quality a ~kernel)
+    (Core.Engine.rank_quality b ~kernel);
+  Sys.remove file
+
+(* A checkpoint of the previous format version (magic
+   [ECO-CHECKPOINT-5]) loads as a fresh start, even when its payload
+   digest is intact. *)
+let test_checkpoint_old_version_ignored () =
+  let file = Filename.temp_file "eco_ck" ".bin" in
+  let a = Core.Engine.create sgi in
+  Core.Engine.set_checkpoint a ~tag:"t" file;
+  ignore (ck_tune a);
+  Core.Engine.checkpoint_now a;
+  let ic = open_in_bin file in
+  let bytes = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let current = "ECO-CHECKPOINT-6\n" in
+  Alcotest.(check string) "current magic" current
+    (String.sub bytes 0 (String.length current));
+  let oc = open_out_bin file in
+  output_string oc "ECO-CHECKPOINT-5\n";
+  output_string oc
+    (String.sub bytes (String.length current)
+       (String.length bytes - String.length current));
+  close_out oc;
+  let b = Core.Engine.create sgi in
+  Alcotest.(check bool) "v5 file means a fresh start" true
+    (Core.Engine.load_checkpoint b ~tag:"t" file = None);
   Sys.remove file
 
 let test_checkpoint_corrupt_file_ignored () =
@@ -454,4 +523,8 @@ let suite =
       test_checkpoint_tag_mismatch_refuses;
     Alcotest.test_case "checkpoint: corrupt file ignored" `Quick
       test_checkpoint_corrupt_file_ignored;
+    Alcotest.test_case "checkpoint: round trip restores stats" `Quick
+      test_checkpoint_roundtrip_restores_stats;
+    Alcotest.test_case "checkpoint: v5 file is a fresh start" `Quick
+      test_checkpoint_old_version_ignored;
   ]
