@@ -204,7 +204,7 @@ let sweep_microbench (kernel : Kernels.Kernel.t) ~n =
   let machine = Machine.sgi_r10000 in
   let v = List.hd (Core.Derive.variants machine kernel) in
   let bindings =
-    match Core.Search.model_point machine ~n v with Some b -> b | None -> []
+    match Core.Search.model_point ~n v with Some b -> b | None -> []
   in
   let program = Core.Variant.instantiate v ~bindings in
   let dt =

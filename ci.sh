@@ -228,6 +228,17 @@ cmp ci_clean_work.txt ci_resumed_work.txt
 rm -f ci_ck.bin ci_clean.txt ci_clean_full.txt ci_faulty.txt ci_resumed.txt \
   ci_resumed_full.txt ci_clean_work.txt ci_resumed_work.txt
 
+# Simulator pin on a miss-heavy cell: jacobi3d n=64 misses L1 on most
+# events, so its cycles rest on the simulator's miss path.  The engine:
+# line's fresh-evaluation count and simulated cycles, exact and
+# sampled, must stay at the values the Cache-calling miss path produced,
+# so a rewrite of the simulator cannot drift silently.
+$ECO tune -k jacobi3d -n 64 -b 200000 > ci_j3d.txt
+$ECO tune -k jacobi3d -n 64 -b 200000 --sample > ci_j3d_sampled.txt
+test "$(engine_work ci_j3d.txt)" = "90 1058449496"
+test "$(engine_work ci_j3d_sampled.txt)" = "109 1297063532"
+rm -f ci_j3d.txt ci_j3d_sampled.txt
+
 # Protocol overhead benchmark: a zero-rate fault plan with 3 trials
 # must cost <5% on evaluation time and find the same winners.  (Under
 # "sh -e" a failing "! cmd" does not stop the script, so the negated

@@ -16,7 +16,7 @@ let optimize engine kernel ~n ~mode =
       (fun (_, _, s1) (_, _, s2) -> compare s1 s2)
       (List.filter_map
          (fun v ->
-           match Core.Search.model_point machine ~n v with
+           match Core.Search.model_point ~n v with
            | None -> None
            | Some bindings ->
              let s =

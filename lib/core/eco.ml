@@ -69,7 +69,7 @@ let optimize_with ?(mode = Executor.default_budget) ?(max_variants = 4) ?log
     let pointed =
       List.filter_map
         (fun v ->
-          match Search.model_point machine ~n v with
+          match Search.model_point ~n v with
           | None -> None
           | Some bindings -> Some (v, bindings))
         variants
@@ -108,7 +108,7 @@ let optimize_with ?(mode = Executor.default_budget) ?(max_variants = 4) ?log
              (fun (_, s1) (_, s2) -> compare s1 s2)
              (List.filter_map
                 (fun v ->
-                  match Search.model_point machine ~n v with
+                  match Search.model_point ~n v with
                   | None -> None
                   | Some bindings ->
                     let s =
@@ -143,7 +143,7 @@ let optimize_with ?(mode = Executor.default_budget) ?(max_variants = 4) ?log
       List.map
         (fun v ->
           let why =
-            match Search.model_point machine ~n v with
+            match Search.model_point ~n v with
             | None -> No_model_point
             | Some bindings -> (
               match

@@ -856,7 +856,7 @@ let polish_winner engine ~n ~mode ?log (o : outcome) =
         polish_exact st;
         match st.best with Some b -> b | None -> o)
 
-let model_point _machine ~n variant =
+let model_point ~n variant =
   (* Pure constraint arithmetic — no engine, no simulation. *)
   let unroll_params = List.map snd variant.Variant.unrolls in
   let tile_params = List.map snd variant.Variant.tiles in
@@ -976,7 +976,7 @@ let warm_tune st =
        apples-to-apples — with an empty plan the guard would lose to
        any prefetched seed even when its bindings are better. *)
     let best =
-      match model_point (Engine.machine st.engine) ~n:st.n st.variant with
+      match model_point ~n:st.n st.variant with
       | None -> best
       | Some b ->
         let pf = match best with Some ((_, pf), _) -> pf | None -> [] in

@@ -67,9 +67,9 @@ val polish_winner :
     — what a purely model-driven compiler would pick (Yotov et al.'s
     question, used by the ablation experiment).  [None] when even the
     all-ones point is infeasible.  Pure constraint arithmetic: runs no
-    simulation (the machine argument is kept for call-site symmetry with
-    the measuring entry points). *)
-val model_point : Machine.t -> n:int -> Variant.t -> (string * int) list option
+    simulation and needs no machine: the variant's phase-1 constraints
+    were derived for one. *)
+val model_point : n:int -> Variant.t -> (string * int) list option
 
 (** Instantiate + prefetch + measure one explicit point (used by the
     experiment harness for Table 1's hand-picked parameter settings). *)

@@ -42,7 +42,7 @@ let access t addr =
   let line = Cache.line_of_addr t.cache addr in
   if Cache.access t.cache ~line ~write:false = Cache.absent then begin
     r.r_misses <- r.r_misses + 1;
-    ignore (Cache.insert t.cache ~now:0 ~ready:0 ~dirty:false ~line)
+    ignore (Cache.insert t.cache ~ready:0 ~dirty:false ~line)
   end
 
 let sink t =

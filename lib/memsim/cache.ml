@@ -4,10 +4,7 @@ type t = {
   line_bytes : int;
   line_shift : int;
   set_mask : int;
-  tags : int array;  (* sets * assoc; -1 = invalid *)
-  stamps : int array;  (* LRU: larger = more recent *)
-  fills : int array;  (* cycle at which the line's data arrives *)
-  dirty : bool array;
+  ways : int array;  (* per way: tag (-1 = invalid), stamp, fill, dirty *)
   mutable tick : int;
 }
 
@@ -32,10 +29,7 @@ let create (c : Machine.cache) =
     line_bytes = c.Machine.line_bytes;
     line_shift = log2 c.Machine.line_bytes;
     set_mask = sets - 1;
-    tags = Array.make (sets * c.Machine.assoc) (-1);
-    stamps = Array.make (sets * c.Machine.assoc) 0;
-    fills = Array.make (sets * c.Machine.assoc) 0;
-    dirty = Array.make (sets * c.Machine.assoc) false;
+    ways = Array.init (4 * lines) (fun i -> if i mod 4 = 0 then -1 else 0);
     tick = 0;
   }
 
@@ -44,8 +38,11 @@ let assoc c = c.assoc
 let line_bytes c = c.line_bytes
 let line_of_addr c addr = addr lsr c.line_shift
 
-let insert c ~now:_ ~ready ~dirty ~line =
-  let base = (line land c.set_mask) * c.assoc in
+(* First slot of [line]'s set. *)
+let set_base c line = 4 * (line land c.set_mask) * c.assoc
+
+let insert c ~ready ~dirty ~line =
+  let base = set_base c line and ways = c.ways in
   (* The first invalid way wins outright (any invalid way is as good as
      another, so scanning on is wasted work); otherwise evict the LRU
      way, earliest index winning stamp ties. *)
@@ -54,40 +51,41 @@ let insert c ~now:_ ~ready ~dirty ~line =
   let lru_stamp = ref max_int in
   let way = ref 0 in
   while !victim < 0 && !way < c.assoc do
-    let i = base + !way in
-    if c.tags.(i) = -1 then victim := i
+    let i = base + (4 * !way) in
+    if ways.(i) = -1 then victim := i
     else begin
-      if c.stamps.(i) < !lru_stamp then begin
+      if ways.(i + 1) < !lru_stamp then begin
         lru := i;
-        lru_stamp := c.stamps.(i)
+        lru_stamp := ways.(i + 1)
       end;
       incr way
     end
   done;
   let i = if !victim >= 0 then !victim else !lru in
-  let evicted_dirty = c.tags.(i) <> -1 && c.dirty.(i) in
+  let evicted_dirty = ways.(i) <> -1 && ways.(i + 3) = 1 in
   c.tick <- c.tick + 1;
-  c.tags.(i) <- line;
-  c.stamps.(i) <- c.tick;
-  c.fills.(i) <- ready;
-  c.dirty.(i) <- dirty;
+  ways.(i) <- line;
+  ways.(i + 1) <- c.tick;
+  ways.(i + 2) <- ready;
+  ways.(i + 3) <- Bool.to_int dirty;
   evicted_dirty
 
-(* Index of [line]'s way among [tags.(i .. stop-1)], or -1.  A line
-   occupies at most one way ([insert] only runs on a miss), so the first
-   match is the only one. *)
-let rec find_way (tags : int array) ~(line : int) i stop =
+(* First slot of [line]'s way among the ways starting at slots [i],
+   [i + 4], ... below [stop], or -1.  A line occupies at most one way
+   ([insert] only runs on a miss), so the first match is the only
+   one. *)
+let rec find_way (ways : int array) ~(line : int) i stop =
   if i >= stop then -1
-  else if Array.unsafe_get tags i = line then i
-  else find_way tags ~line (i + 1) stop
+  else if Array.unsafe_get ways i = line then i
+  else find_way ways ~line (i + 4) stop
 
 let way c ~line =
-  let base = (line land c.set_mask) * c.assoc in
-  find_way c.tags ~line base (base + c.assoc)
+  let base = set_base c line in
+  find_way c.ways ~line base (base + (4 * c.assoc))
 
 let set_dirty c ~line =
   let i = way c ~line in
-  if i >= 0 then c.dirty.(i) <- true
+  if i >= 0 then c.ways.(i + 3) <- 1
 
 let absent = min_int
 
@@ -96,21 +94,28 @@ let access c ~line ~write =
   if i < 0 then absent
   else begin
     c.tick <- c.tick + 1;
-    Array.unsafe_set c.stamps i c.tick;
-    if write then Array.unsafe_set c.dirty i true;
-    Array.unsafe_get c.fills i
+    Array.unsafe_set c.ways (i + 1) c.tick;
+    if write then Array.unsafe_set c.ways (i + 3) 1;
+    Array.unsafe_get c.ways (i + 2)
   end
 
 let resident c ~line = way c ~line >= 0
 
 let reset c =
-  Array.fill c.tags 0 (Array.length c.tags) (-1);
-  Array.fill c.stamps 0 (Array.length c.stamps) 0;
-  Array.fill c.fills 0 (Array.length c.fills) 0;
-  Array.fill c.dirty 0 (Array.length c.dirty) false;
+  Array.fill c.ways 0 (Array.length c.ways) 0;
+  for w = 0 to (Array.length c.ways / 4) - 1 do
+    c.ways.(4 * w) <- -1
+  done;
   c.tick <- 0
 
-let settle c = Array.fill c.fills 0 (Array.length c.fills) 0
+let settle c =
+  for w = 0 to (Array.length c.ways / 4) - 1 do
+    c.ways.((4 * w) + 2) <- 0
+  done
 
 let occupancy c =
-  Array.fold_left (fun acc t -> if t <> -1 then acc + 1 else acc) 0 c.tags
+  let n = ref 0 in
+  for w = 0 to (Array.length c.ways / 4) - 1 do
+    if c.ways.(4 * w) <> -1 then incr n
+  done;
+  !n

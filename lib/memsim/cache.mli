@@ -2,21 +2,23 @@
     write-back/write-allocate, and per-line fill times used to model
     in-flight software prefetches. *)
 
-(** The fields are exposed for {!Hierarchy}'s replay kernel, which
-    probes the L1 and records a hit (LRU tick, stamp, dirty bit) in
-    place rather than through an out-of-line call; everything else goes
-    through the functions below, and nothing outside this module
-    creates, resizes or evicts. *)
+(** The fields are exposed for {!Hierarchy}'s simulation kernel, which
+    probes, records hits, evicts and installs in place rather than
+    through out-of-line calls, under the same LRU rule as {!insert};
+    every other user goes through the functions below, and nothing
+    outside this module creates or resizes. *)
 type t = {
   sets : int;
   assoc : int;
   line_bytes : int;
   line_shift : int;  (** [log2 line_bytes] *)
   set_mask : int;  (** [sets - 1] *)
-  tags : int array;  (** [sets * assoc] ways, set-major; [-1] = invalid *)
-  stamps : int array;  (** LRU stamp per way: larger = more recent *)
-  fills : int array;  (** cycle at which the way's data arrives *)
-  dirty : bool array;
+  ways : int array;
+      (** [sets * assoc] ways, set-major, four slots each: way [w] of set
+          [s] starts at slot [i = 4 * (s * assoc + w)] and holds its tag
+          at [i] ([-1] = invalid), its LRU stamp at [i + 1] (larger =
+          more recent), the cycle its data arrives at [i + 2] and its
+          dirty bit (0 or 1) at [i + 3] *)
   mutable tick : int;  (** LRU clock: bumped and stamped on every hit and insert *)
 }
 
@@ -31,10 +33,11 @@ val line_bytes : t -> int
 (** Line number of a byte address at this level's line size. *)
 val line_of_addr : t -> int -> int
 
-(** [insert c ~now ~ready ~dirty ~line] allocates [line], evicting the
-    LRU way.  Returns [true] when a dirty line was evicted (write-back
-    traffic).  [ready] is the cycle at which the fill completes. *)
-val insert : t -> now:int -> ready:int -> dirty:bool -> line:int -> bool
+(** [insert c ~ready ~dirty ~line] allocates [line], evicting the first
+    invalid way, else the LRU way (earliest way on stamp ties).  Returns
+    [true] when a dirty line was evicted (write-back traffic).  [ready]
+    is the cycle at which the fill completes. *)
+val insert : t -> ready:int -> dirty:bool -> line:int -> bool
 
 (** Mark a resident line dirty (no-op when absent). *)
 val set_dirty : t -> line:int -> unit
@@ -49,12 +52,6 @@ val absent : int
     right dirty bit).  [~write:false] is the plain read probe.  Does not
     allocate. *)
 val access : t -> line:int -> write:bool -> int
-
-(** [find_way tags ~line i stop] is the index of [line] among the ways
-    [tags.(i .. stop-1)] of one set, or [-1].  The replay kernel probes
-    ways 0 and 1 inline and calls this for the rest.  Does not
-    allocate. *)
-val find_way : int array -> line:int -> int -> int -> int
 
 (** [resident c ~line] is true when the line is present (no LRU update). *)
 val resident : t -> line:int -> bool

@@ -29,7 +29,7 @@ let access t addr =
   let line = Cache.line_of_addr t.real addr in
   if Cache.access t.real ~line ~write:false = Cache.absent then begin
     t.real_misses <- t.real_misses + 1;
-    ignore (Cache.insert t.real ~now:0 ~ready:0 ~dirty:false ~line)
+    ignore (Cache.insert t.real ~ready:0 ~dirty:false ~line)
   end;
   Reuse_distance.access t.rd addr
 

@@ -5,6 +5,7 @@ type t = {
   tlb : Tlb.t;
   counters : Counters.t;
   mem_latency : int;
+  event : int array;  (* the sink path's one-event buffer *)
 }
 
 let create (m : Machine.t) =
@@ -16,6 +17,7 @@ let create (m : Machine.t) =
     tlb = Tlb.create m.Machine.tlb;
     counters = Counters.create ~levels:(List.length m.Machine.caches) ();
     mem_latency = m.Machine.memory_latency_cycles;
+    event = [| 0 |];
   }
 
 let machine t = t.machine
@@ -26,152 +28,176 @@ let tlb t = t.tlb
 
 let count_miss t level =
   let m = t.counters.Counters.misses in
-  m.(level) <- m.(level) + 1
+  Array.unsafe_set m level (Array.unsafe_get m level + 1)
 
 let count_hit t level =
   let h = t.counters.Counters.hits in
-  h.(level) <- h.(level) + 1
+  Array.unsafe_set h level (Array.unsafe_get h level + 1)
 
-(* Latency to deliver [addr] to level [level-1], allocating the line at
-   every level it missed in.  [ready_base] is the cycle the request was
-   issued; lines are installed with fill time [ready_base + returned
-   latency] (the caller charges or hides that latency). *)
-let rec service t ~level ~now ~addr ~dirty =
-  if level >= Array.length t.caches then t.mem_latency
+(* --- The miss path ----------------------------------------------------
+
+   An L1 miss probes, evicts and installs at every level through the
+   helpers below, which read and write [Cache.t]'s way array in place.
+   They live here, not in [Cache], because the default (dev) dune
+   profile compiles every module with [-opaque]: no call across modules
+   is inlined, and a miss path built on [Cache]'s functions makes about
+   eight such calls per L1 miss.  Here the [@inline] helpers are
+   inlined, the top-level recursive ones are direct calls, and nothing
+   allocates.
+   - Layout: a way is four adjacent slots of [Cache.t]'s [ways] (tag,
+     stamp, fill, dirty), so a probe, a hit or an install touches one
+     host cache line rather than one per field.  Ways are addressed by
+     their first slot; a set's ways start at [base], [base + 4], ...
+   - [way]: one probe per level; ways 0 and 1 inline, the rest in the
+     top-level [scan] loop.
+   - [victim]: the lowest stamp, earliest way on ties; one comparison
+     at associativity 2, the top-level [lru] fold above it.  An invalid
+     way has stamp 0 and a valid one >= 1 (the clock is bumped before
+     every stamp), so this is [Cache.insert]'s rule: the first invalid
+     way wins, else the LRU way.
+   - [fill]: the install at any level.  A dirty victim (an invalid way
+     is never dirty) is written back: its own line is marked dirty one
+     level down when resident there.
+   - [service]: the walk down the levels, measured or state-only. *)
+
+(* First slot of [line]'s set in [c]. *)
+let[@inline] set_base (c : Cache.t) line =
+  4 * (line land c.Cache.set_mask) * c.Cache.assoc
+
+(* First slot of [line]'s way among [i], [i + 4], ... below [stop], or
+   -1. *)
+let rec scan (ways : int array) (line : int) i stop =
+  if i >= stop then -1
+  else if Array.unsafe_get ways i = line then i
+  else scan ways line (i + 4) stop
+
+(* First slot of the way holding [line] in the set starting at [base],
+   or -1.  A line occupies at most one way of its set. *)
+let[@inline] way (ways : int array) ~assoc base (line : int) =
+  if Array.unsafe_get ways base = line then base
+  else if assoc < 2 then -1
+  else if Array.unsafe_get ways (base + 4) = line then base + 4
+  else if assoc = 2 then -1
+  else scan ways line (base + 8) (base + (4 * assoc))
+
+(* A hit on way [w], exactly as [Cache.access] records it: bump the LRU
+   clock, stamp the way, mark it dirty on a write.  Returns the cycle
+   the way's data is ready. *)
+let[@inline] hit (c : Cache.t) (ways : int array) w ~write =
+  let tick = c.Cache.tick + 1 in
+  c.Cache.tick <- tick;
+  Array.unsafe_set ways (w + 1) tick;
+  if write then Array.unsafe_set ways (w + 3) 1;
+  Array.unsafe_get ways (w + 2)
+
+(* The way with the lowest stamp among [best] and [i], [i + 4], ...
+   below [stop]. *)
+let rec lru (ways : int array) i stop best =
+  if i >= stop then best
   else
-    let cache = t.caches.(level) in
-    let line = Cache.line_of_addr cache addr in
-    let ready = Cache.access cache ~line ~write:false in
-    if ready <> Cache.absent then begin
-      count_hit t level;
-      t.hit_cycles.(level) + max 0 (ready - now)
+    lru ways (i + 4) stop
+      (if Array.unsafe_get ways (i + 1) < Array.unsafe_get ways (best + 1) then i
+       else best)
+
+let[@inline] victim (ways : int array) ~assoc base =
+  if assoc = 2 then
+    if Array.unsafe_get ways (base + 5) < Array.unsafe_get ways (base + 1) then base + 4
+    else base
+  else if assoc = 1 then base
+  else lru ways (base + 4) (base + (4 * assoc)) base
+
+(* Mark the line holding byte [addr] dirty in [c] when it is resident. *)
+let write_back (c : Cache.t) addr =
+  let line = addr lsr c.Cache.line_shift in
+  let w = way c.Cache.ways ~assoc:c.Cache.assoc (set_base c line) line in
+  if w >= 0 then Array.unsafe_set c.Cache.ways (w + 3) 1
+
+(* Install [line], absent from level [level]'s set at [base], with its
+   data ready at cycle [ready].  A dirty victim is counted as a
+   writeback (unless [warm]) and its own line is marked dirty in the
+   next level down. *)
+let[@inline] fill t level base line ~ready ~dirty ~warm =
+  let c = Array.unsafe_get t.caches level in
+  let ways = c.Cache.ways in
+  let v = victim ways ~assoc:c.Cache.assoc base in
+  if Array.unsafe_get ways (v + 3) = 1 then begin
+    if not warm then
+      t.counters.Counters.writebacks <- t.counters.Counters.writebacks + 1;
+    if level + 1 < Array.length t.caches then
+      write_back
+        (Array.unsafe_get t.caches (level + 1))
+        (Array.unsafe_get ways v lsl c.Cache.line_shift)
+  end;
+  let tick = c.Cache.tick + 1 in
+  c.Cache.tick <- tick;
+  Array.unsafe_set ways v line;
+  Array.unsafe_set ways (v + 1) tick;
+  Array.unsafe_set ways (v + 2) ready;
+  Array.unsafe_set ways (v + 3) (Bool.to_int dirty)
+
+(* Latency to deliver [addr] to level [level - 1], installing its line
+   at every level it misses in, with fill time [now + latency] (the
+   caller charges or hides that latency).  [~warm] evolves the same
+   state without counters, installing fills at cycle 0: a warm-up
+   pass's fills are settled or already past before anything is
+   measured. *)
+let rec service t level ~now ~addr ~warm =
+  if level >= Array.length t.caches then t.mem_latency
+  else begin
+    let c = Array.unsafe_get t.caches level in
+    let line = addr lsr c.Cache.line_shift in
+    let base = set_base c line in
+    let w = way c.Cache.ways ~assoc:c.Cache.assoc base line in
+    let hit_cycles = Array.unsafe_get t.hit_cycles level in
+    if w >= 0 then begin
+      if not warm then count_hit t level;
+      let ready = hit c c.Cache.ways w ~write:false in
+      if ready > now then hit_cycles + (ready - now) else hit_cycles
     end
     else begin
-      count_miss t level;
-      let below = service t ~level:(level + 1) ~now ~addr ~dirty:false in
-      let latency = t.hit_cycles.(level) + below in
-      let evicted_dirty =
-        Cache.insert cache ~now ~ready:(now + latency) ~dirty ~line
-      in
-      if evicted_dirty then begin
-        t.counters.Counters.writebacks <- t.counters.Counters.writebacks + 1;
-        (* Propagate the dirty data to the next level if resident there. *)
-        if level + 1 < Array.length t.caches then
-          Cache.set_dirty t.caches.(level + 1) ~line:(Cache.line_of_addr t.caches.(level + 1) addr)
-      end;
+      if not warm then count_miss t level;
+      let latency = hit_cycles + service t (level + 1) ~now ~addr ~warm in
+      fill t level base line ~ready:(if warm then 0 else now + latency) ~dirty:false ~warm;
       latency
     end
-
-let translate t ~addr =
-  let page = Tlb.page_of_addr t.tlb addr in
-  Tlb.access t.tlb ~page
-
-let demand t ~addr ~write =
-  let c = t.counters in
-  if write then c.Counters.stores <- c.Counters.stores + 1
-  else c.Counters.loads <- c.Counters.loads + 1;
-  if not (translate t ~addr) then begin
-    c.Counters.tlb_misses <- c.Counters.tlb_misses + 1;
-    c.Counters.stall_cycles <-
-      c.Counters.stall_cycles + t.machine.Machine.tlb.Machine.miss_cycles
-  end;
-  let now = now t in
-  let l1 = t.caches.(0) in
-  let line = Cache.line_of_addr l1 addr in
-  let ready = Cache.access l1 ~line ~write:false in
-  if ready <> Cache.absent then begin
-    count_hit t 0;
-    if ready > now then
-      c.Counters.stall_cycles <- c.Counters.stall_cycles + (ready - now)
-  end
-  else begin
-    count_miss t 0;
-    let below = service t ~level:1 ~now ~addr ~dirty:false in
-    c.Counters.stall_cycles <- c.Counters.stall_cycles + below;
-    let evicted_dirty = Cache.insert l1 ~now ~ready:now ~dirty:write ~line in
-    if evicted_dirty then begin
-      c.Counters.writebacks <- c.Counters.writebacks + 1;
-      if Array.length t.caches > 1 then
-        Cache.set_dirty t.caches.(1) ~line:(Cache.line_of_addr t.caches.(1) addr)
-    end
-  end;
-  if write then Cache.set_dirty l1 ~line
-
-let load t addr = demand t ~addr ~write:false
-let store t addr = demand t ~addr ~write:true
-
-let prefetch t addr =
-  let c = t.counters in
-  (* A prefetch occupies a memory issue slot and is counted as a load by
-     the hardware counters (Table 1: mm5's loads exceed mm4's by the
-     prefetch count). *)
-  c.Counters.loads <- c.Counters.loads + 1;
-  c.Counters.prefetches <- c.Counters.prefetches + 1;
-  let page = Tlb.page_of_addr t.tlb addr in
-  (* Dropped on TLB miss, like the R10000's pref instruction; the probe
-     does not install a translation. *)
-  if not (Tlb.probe t.tlb ~page) then ()
-  else begin
-    let now = now t in
-    let l1 = t.caches.(0) in
-    let line = Cache.line_of_addr l1 addr in
-    if Cache.access l1 ~line ~write:false = Cache.absent then begin
-      count_miss t 0;
-      let below = service t ~level:1 ~now ~addr ~dirty:false in
-      c.Counters.prefetch_hidden_cycles <-
-        c.Counters.prefetch_hidden_cycles + below;
-      let evicted_dirty =
-        Cache.insert l1 ~now ~ready:(now + below) ~dirty:false ~line
-      in
-      if evicted_dirty then begin
-        c.Counters.writebacks <- c.Counters.writebacks + 1;
-        if Array.length t.caches > 1 then
-          Cache.set_dirty t.caches.(1)
-            ~line:(Cache.line_of_addr t.caches.(1) addr)
-      end
-    end
   end
 
-(* State-only service for the warm-up pass: same probe/insert/dirty
-   sequence as {!service} (so LRU ticks and residency evolve
-   identically), no latency arithmetic or counters.  Fill times are
-   arbitrary here because [reset_counters] settles them before anything
-   is measured. *)
-let rec warm_service t ~level ~addr =
-  if level < Array.length t.caches then begin
-    let cache = t.caches.(level) in
-    let line = Cache.line_of_addr cache addr in
-    if Cache.access cache ~line ~write:false = Cache.absent then begin
-      warm_service t ~level:(level + 1) ~addr;
-      let evicted_dirty =
-        Cache.insert cache ~now:0 ~ready:0 ~dirty:false ~line
-      in
-      if evicted_dirty && level + 1 < Array.length t.caches then
-        Cache.set_dirty t.caches.(level + 1)
-          ~line:(Cache.line_of_addr t.caches.(level + 1) addr)
-    end
-  end
+(* The three L1 misses, [line] absent from the L1 set at [base].  A
+   demand miss is served from below and installed (dirty on a store)
+   ready now; it returns the stall cycles it costs. *)
+let demand_miss t ~now ~addr ~write ~line ~base =
+  count_miss t 0;
+  let below = service t 1 ~now ~addr ~warm:false in
+  fill t 0 base line ~ready:now ~dirty:write ~warm:false;
+  below
+
+(* A prefetch miss hides its latency: the line arrives later. *)
+let prefetch_miss t ~now ~addr ~line ~base =
+  count_miss t 0;
+  let below = service t 1 ~now ~addr ~warm:false in
+  t.counters.Counters.prefetch_hidden_cycles <-
+    t.counters.Counters.prefetch_hidden_cycles + below;
+  fill t 0 base line ~ready:(now + below) ~dirty:false ~warm:false
+
+(* A warm-up miss: the same state changes, no accounting. *)
+let warm_miss t ~addr ~write ~line ~base =
+  ignore (service t 1 ~now:0 ~addr ~warm:true);
+  fill t 0 base line ~ready:0 ~dirty:write ~warm:true
 
 (* --- The replay kernel ------------------------------------------------
 
    [replay_packed], [warm_packed] and the [Batch] loops simulate packed
-   event buffers ([Ir.Sink.pack] encoding), each in one loop whose
-   counter and cache evolution is identical to feeding the same events
-   through {!load}/{!store}/{!prefetch} (the test suites compare every
-   counter).  The only structural difference is skipping the trailing
-   [Cache.set_dirty] on a demand-write miss, where [insert ~dirty:true]
-   has already marked the line.  What keeps an event cheap:
+   event buffers ([Ir.Sink.pack] encoding) with identical counter and
+   cache evolution (the test suites compare every counter, and a
+   test-side reference model checks each path); the sink path is a
+   one-event [replay_packed].  What keeps an event cheap:
    - its line, page and L1 set are shifts and masks of fields read once
      per call;
    - the TLB is called only when the page is neither its MRU page nor
      in its home slot;
-   - L1 ways 0 and 1 are probed inline and ways >= 2 through
-     [Cache.find_way], so one kernel serves every associativity;
-   - an L1 hit updates the LRU tick, stamp and dirty bit in place;
-   - the miss paths are top-level functions that allocate nothing.
-   The memsim library is compiled without cross-module inlining, so
-   every call into [Cache] or [Tlb] is a real call: the hit path makes
-   none. *)
+   - the L1 probe and hit are inlined on the hoisted L1 way array;
+   - an L1 miss is one direct call into the miss path above, which
+     makes no call outside this module. *)
 
 (* A TLB hit settled without a call: [page] is the MRU page, or sits in
    its home slot of the key table (kept at most quarter-full and hashed
@@ -180,59 +206,6 @@ let rec warm_service t ~level ~addr =
    page, so skipping [Tlb.access] on a hit is exact. *)
 let[@inline] tlb_resident (keys : int array) ~mask ~mru page =
   page = mru || Array.unsafe_get keys (page land mask) = page
-
-(* The way holding [line] in the L1 set that starts at [base], or -1. *)
-let[@inline] l1_way (tags : int array) ~assoc base (line : int) =
-  if Array.unsafe_get tags base = line then base
-  else if assoc < 2 then -1
-  else if Array.unsafe_get tags (base + 1) = line then base + 1
-  else if assoc = 2 then -1
-  else Cache.find_way tags ~line (base + 2) (base + assoc)
-
-(* An L1 hit on way [w], exactly as [Cache.access] records it: bump the
-   LRU clock, stamp the way, mark it dirty on a write.  Returns the
-   cycle the way's data is ready. *)
-let[@inline] l1_hit (l1 : Cache.t) ~(stamps : int array) ~(fills : int array)
-    ~(dirty : bool array) w ~write =
-  let tick = l1.Cache.tick + 1 in
-  l1.Cache.tick <- tick;
-  Array.unsafe_set stamps w tick;
-  if write then Array.unsafe_set dirty w true;
-  Array.unsafe_get fills w
-
-(* Install [line] in L1 after a miss; a dirty victim is a writeback,
-   propagated to L2 when the line is resident there. *)
-let install_l1 t ~now ~ready ~dirty ~addr ~line =
-  if Cache.insert t.caches.(0) ~now ~ready ~dirty ~line then begin
-    t.counters.Counters.writebacks <- t.counters.Counters.writebacks + 1;
-    if Array.length t.caches > 1 then
-      Cache.set_dirty t.caches.(1) ~line:(Cache.line_of_addr t.caches.(1) addr)
-  end
-
-(* A demand L1 miss: service it from below and install the line (dirty
-   on a store).  Returns the stall cycles it costs. *)
-let demand_miss t ~now ~addr ~write ~line =
-  count_miss t 0;
-  let below = service t ~level:1 ~now ~addr ~dirty:false in
-  install_l1 t ~now ~ready:now ~dirty:write ~addr ~line;
-  below
-
-(* A prefetch L1 miss: the latency is hidden, the line arrives later. *)
-let prefetch_miss t ~now ~addr ~line =
-  count_miss t 0;
-  let below = service t ~level:1 ~now ~addr ~dirty:false in
-  t.counters.Counters.prefetch_hidden_cycles <-
-    t.counters.Counters.prefetch_hidden_cycles + below;
-  install_l1 t ~now ~ready:(now + below) ~dirty:false ~addr ~line
-
-(* A warm-up L1 miss: the same inserts, no accounting. *)
-let warm_miss t ~addr ~write ~line =
-  warm_service t ~level:1 ~addr;
-  if
-    Cache.insert t.caches.(0) ~now:0 ~ready:0 ~dirty:write ~line
-    && Array.length t.caches > 1
-  then
-    Cache.set_dirty t.caches.(1) ~line:(Cache.line_of_addr t.caches.(1) addr)
 
 (* The hot counters (loads, stores, stall cycles, L1 hits, prefetches)
    and the TLB's MRU page live in locals for the whole call; the
@@ -245,10 +218,8 @@ let replay_packed t buf ~pos ~len =
   let line_shift = l1.Cache.line_shift
   and set_mask = l1.Cache.set_mask
   and assoc = l1.Cache.assoc
-  and tags = l1.Cache.tags
-  and stamps = l1.Cache.stamps
-  and fills = l1.Cache.fills
-  and dirty = l1.Cache.dirty
+  and stride = 4 * l1.Cache.assoc
+  and ways = l1.Cache.ways
   and page_shift = tlb.Tlb.page_shift
   and tlb_keys = tlb.Tlb.keys
   and tlb_mask = tlb.Tlb.mask
@@ -265,7 +236,7 @@ let replay_packed t buf ~pos ~len =
     let v = Array.unsafe_get buf e in
     let addr = v lsr 2 and tag = v land 3 in
     let line = addr lsr line_shift and page = addr lsr page_shift in
-    let base = (line land set_mask) * assoc in
+    let base = (line land set_mask) * stride in
     if tag <> tag_prefetch then begin
       let write = tag = tag_store in
       if write then incr stores else incr loads;
@@ -279,13 +250,13 @@ let replay_packed t buf ~pos ~len =
       end;
       mru := page;
       let now = !loads + !stores + !stall in
-      let w = l1_way tags ~assoc base line in
+      let w = way ways ~assoc base line in
       if w >= 0 then begin
         incr hit0;
-        let fill = l1_hit l1 ~stamps ~fills ~dirty w ~write in
-        if fill > now then stall := !stall + (fill - now)
+        let ready = hit l1 ways w ~write in
+        if ready > now then stall := !stall + (ready - now)
       end
-      else stall := !stall + demand_miss t ~now ~addr ~write ~line
+      else stall := !stall + demand_miss t ~now ~addr ~write ~line ~base
     end
     else begin
       incr loads;
@@ -294,9 +265,9 @@ let replay_packed t buf ~pos ~len =
         tlb_resident tlb_keys ~mask:tlb_mask ~mru:!mru page
         || Tlb.probe tlb ~page
       then begin
-        let w = l1_way tags ~assoc base line in
-        if w >= 0 then ignore (l1_hit l1 ~stamps ~fills ~dirty w ~write:false)
-        else prefetch_miss t ~now:(!loads + !stores + !stall) ~addr ~line
+        let w = way ways ~assoc base line in
+        if w >= 0 then ignore (hit l1 ways w ~write:false)
+        else prefetch_miss t ~now:(!loads + !stores + !stall) ~addr ~line ~base
       end
     end
   done;
@@ -305,6 +276,20 @@ let replay_packed t buf ~pos ~len =
   c.Counters.stall_cycles <- !stall;
   c.Counters.hits.(0) <- !hit0;
   c.Counters.prefetches <- !prefs
+
+(* The sink path: each event is a one-event replay, so the sink and
+   every replay tier run the same kernel. *)
+let feed t ~tag addr =
+  Array.unsafe_set t.event 0 ((addr lsl 2) lor tag);
+  replay_packed t t.event ~pos:0 ~len:1
+
+let load t addr = feed t ~tag:Ir.Sink.tag_load addr
+let store t addr = feed t ~tag:Ir.Sink.tag_store addr
+
+(* A prefetch is counted as a load by the hardware counters (Table 1:
+   mm5's loads exceed mm4's by the prefetch count) and dropped on a TLB
+   miss, like the R10000's pref instruction. *)
+let prefetch t addr = feed t ~tag:Ir.Sink.tag_prefetch addr
 
 (* Replay that evolves cache/TLB state but keeps no accounting: the
    warm-up prefix of a sampled measurement, whose counters are thrown
@@ -316,10 +301,8 @@ let warm_packed t buf ~pos ~len =
   let line_shift = l1.Cache.line_shift
   and set_mask = l1.Cache.set_mask
   and assoc = l1.Cache.assoc
-  and tags = l1.Cache.tags
-  and stamps = l1.Cache.stamps
-  and fills = l1.Cache.fills
-  and dirty = l1.Cache.dirty
+  and stride = 4 * l1.Cache.assoc
+  and ways = l1.Cache.ways
   and page_shift = tlb.Tlb.page_shift
   and tlb_keys = tlb.Tlb.keys
   and tlb_mask = tlb.Tlb.mask
@@ -330,23 +313,23 @@ let warm_packed t buf ~pos ~len =
     let v = Array.unsafe_get buf e in
     let addr = v lsr 2 and tag = v land 3 in
     let line = addr lsr line_shift and page = addr lsr page_shift in
-    let base = (line land set_mask) * assoc in
+    let base = (line land set_mask) * stride in
     if tag <> tag_prefetch then begin
       let write = tag = tag_store in
       if not (tlb_resident tlb_keys ~mask:tlb_mask ~mru:!mru page) then
         ignore (Tlb.access tlb ~page);
       mru := page;
-      let w = l1_way tags ~assoc base line in
-      if w >= 0 then ignore (l1_hit l1 ~stamps ~fills ~dirty w ~write)
-      else warm_miss t ~addr ~write ~line
+      let w = way ways ~assoc base line in
+      if w >= 0 then ignore (hit l1 ways w ~write)
+      else warm_miss t ~addr ~write ~line ~base
     end
     else if
       tlb_resident tlb_keys ~mask:tlb_mask ~mru:!mru page
       || Tlb.probe tlb ~page
     then begin
-      let w = l1_way tags ~assoc base line in
-      if w >= 0 then ignore (l1_hit l1 ~stamps ~fills ~dirty w ~write:false)
-      else warm_miss t ~addr ~write:false ~line
+      let w = way ways ~assoc base line in
+      if w >= 0 then ignore (hit l1 ways w ~write:false)
+      else warm_miss t ~addr ~write:false ~line ~base
     end
   done
 
@@ -478,21 +461,18 @@ module Batch = struct
       + Array.unsafe_get stall i
     in
     let l1 = Array.unsafe_get b.l1s i in
-    let w = l1_way l1.Cache.tags ~assoc:b.assoc base line in
+    let w = way l1.Cache.ways ~assoc:b.assoc base line in
     if w >= 0 then begin
       Array.unsafe_set b.b_hit0 i (Array.unsafe_get b.b_hit0 i + 1);
-      let fill =
-        l1_hit l1 ~stamps:l1.Cache.stamps ~fills:l1.Cache.fills
-          ~dirty:l1.Cache.dirty w ~write
-      in
-      if fill > now then
-        Array.unsafe_set stall i (Array.unsafe_get stall i + (fill - now));
-      now - fill
+      let ready = hit l1 l1.Cache.ways w ~write in
+      if ready > now then
+        Array.unsafe_set stall i (Array.unsafe_get stall i + (ready - now));
+      now - ready
     end
     else begin
       Array.unsafe_set stall i
         (Array.unsafe_get stall i
-        + demand_miss (Array.unsafe_get b.hs i) ~now ~addr ~write ~line);
+        + demand_miss (Array.unsafe_get b.hs i) ~now ~addr ~write ~line ~base);
       no_slack
     end
 
@@ -506,18 +486,15 @@ module Batch = struct
       || Tlb.probe tlb ~page
     then begin
       let l1 = Array.unsafe_get b.l1s i in
-      let w = l1_way l1.Cache.tags ~assoc:b.assoc base line in
-      if w >= 0 then
-        ignore
-          (l1_hit l1 ~stamps:l1.Cache.stamps ~fills:l1.Cache.fills
-             ~dirty:l1.Cache.dirty w ~write:false)
+      let w = way l1.Cache.ways ~assoc:b.assoc base line in
+      if w >= 0 then ignore (hit l1 l1.Cache.ways w ~write:false)
       else
         prefetch_miss (Array.unsafe_get b.hs i)
           ~now:
             (Array.unsafe_get loads i
             + Array.unsafe_get b.b_stores i
             + Array.unsafe_get b.b_stall i)
-          ~addr ~line;
+          ~addr ~line ~base;
       0
     end
     else no_slack
@@ -530,12 +507,9 @@ module Batch = struct
     in
     if mapped then begin
       let l1 = Array.unsafe_get b.l1s i in
-      let w = l1_way l1.Cache.tags ~assoc:b.assoc base line in
-      if w >= 0 then
-        ignore
-          (l1_hit l1 ~stamps:l1.Cache.stamps ~fills:l1.Cache.fills
-             ~dirty:l1.Cache.dirty w ~write)
-      else warm_miss (Array.unsafe_get b.hs i) ~addr ~write ~line
+      let w = way l1.Cache.ways ~assoc:b.assoc base line in
+      if w >= 0 then ignore (hit l1 l1.Cache.ways w ~write)
+      else warm_miss (Array.unsafe_get b.hs i) ~addr ~write ~line ~base
     end
 
   (* One shared event run through every plan: decode the event, its
@@ -545,14 +519,14 @@ module Batch = struct
     and line_shift = b.line_shift
     and page_shift = b.page_shift
     and set_mask = b.set_mask
-    and assoc = b.assoc
+    and stride = 4 * b.assoc
     and tag_prefetch = Ir.Sink.tag_prefetch
     and tag_store = Ir.Sink.tag_store in
     for e = pos to pos + len - 1 do
       let v = Array.unsafe_get buf e in
       let addr = v lsr 2 and tag = v land 3 in
       let line = addr lsr line_shift and page = addr lsr page_shift in
-      let base = (line land set_mask) * assoc in
+      let base = (line land set_mask) * stride in
       if tag <> tag_prefetch then begin
         let write = tag = tag_store in
         for i = 0 to k - 1 do
@@ -574,7 +548,7 @@ module Batch = struct
   let replay_one b i v =
     let addr = v lsr 2 and tag = v land 3 in
     let line = addr lsr b.line_shift and page = addr lsr b.page_shift in
-    let base = (line land b.set_mask) * b.assoc in
+    let base = (line land b.set_mask) * 4 * b.assoc in
     if tag <> Ir.Sink.tag_prefetch then
       demand b i ~addr ~line ~page ~base ~write:(tag = Ir.Sink.tag_store)
     else prefetch b i ~addr ~line ~page ~base
@@ -592,14 +566,14 @@ module Batch = struct
     and line_shift = b.line_shift
     and page_shift = b.page_shift
     and set_mask = b.set_mask
-    and assoc = b.assoc
+    and stride = 4 * b.assoc
     and tag_prefetch = Ir.Sink.tag_prefetch
     and tag_store = Ir.Sink.tag_store in
     for e = pos to pos + len - 1 do
       let v = Array.unsafe_get buf e in
       let addr = v lsr 2 and tag = v land 3 in
       let line = addr lsr line_shift and page = addr lsr page_shift in
-      let base = (line land set_mask) * assoc in
+      let base = (line land set_mask) * stride in
       let prefetch = tag = tag_prefetch and write = tag = tag_store in
       for i = 0 to k - 1 do
         warm b i ~addr ~line ~page ~base ~prefetch ~write
@@ -610,7 +584,7 @@ module Batch = struct
     let addr = v lsr 2 and tag = v land 3 in
     let line = addr lsr b.line_shift and page = addr lsr b.page_shift in
     warm b i ~addr ~line ~page
-      ~base:((line land b.set_mask) * b.assoc)
+      ~base:((line land b.set_mask) * 4 * b.assoc)
       ~prefetch:(tag = Ir.Sink.tag_prefetch) ~write:(tag = Ir.Sink.tag_store)
 
   let warm_range b i buf ~pos ~len = warm_packed b.hs.(i) buf ~pos ~len

@@ -19,7 +19,9 @@ val counters : t -> Counters.t
     stalls so far. *)
 val now : t -> int
 
+(** One event each: a one-event {!replay_packed}. *)
 val load : t -> int -> unit
+
 val store : t -> int -> unit
 val prefetch : t -> int -> unit
 
@@ -28,9 +30,7 @@ val sink : t -> Ir.Sink.t
 
 (** [replay_packed t buf ~pos ~len] simulates the packed events
     ({!Ir.Sink.pack} encoding) in [buf.(pos .. pos+len-1)] in one tight
-    loop — the batched fast path of the sink interface.  Counter and
-    cache state evolution is identical to dispatching the same events
-    through {!load}/{!store}/{!prefetch}.
+    loop — the batched fast path of the sink interface.
 
     The hot counters (loads, stores, stall cycles, L1 hits,
     prefetches) and the TLB's MRU page stay in locals for the whole
@@ -38,7 +38,9 @@ val sink : t -> Ir.Sink.t
     is current between calls, never during one.  An event whose page
     is the MRU page or sits in its home TLB slot, and whose line hits
     in L1 ways 0 or 1, makes no call at all; ways [>= 2] take one
-    non-allocating call.  Nothing is allocated, on hits or misses. *)
+    non-allocating call.  An L1 miss probes, evicts and installs at
+    every level in this module, without calling {!Cache}.  Nothing is
+    allocated, on hits or misses. *)
 val replay_packed : t -> int array -> pos:int -> len:int -> unit
 
 (** As {!replay_packed}, but evolving cache/TLB state only — no

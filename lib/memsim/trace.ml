@@ -106,7 +106,7 @@ let misses_under t geometry =
     let line = Cache.line_of_addr cache addr in
     if Cache.access cache ~line ~write:false = Cache.absent then begin
       incr misses;
-      ignore (Cache.insert cache ~now:0 ~ready:0 ~dirty:false ~line)
+      ignore (Cache.insert cache ~ready:0 ~dirty:false ~line)
     end
   in
   replay t

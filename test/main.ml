@@ -23,5 +23,6 @@ let () =
       ("perfdb", Test_perfdb.suite);
       ("model", Test_model.suite);
       ("replay", Test_replay.suite);
+      ("reference", Test_reference.suite);
       ("serve", Test_serve.suite);
     ]

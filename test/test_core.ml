@@ -313,7 +313,7 @@ let test_executor_scale_factor () =
 let test_model_point_feasible () =
   List.iter
     (fun v ->
-      match Core.Search.model_point sgi ~n:64 v with
+      match Core.Search.model_point ~n:64 v with
       | Some bindings ->
         Alcotest.(check bool)
           (v.Core.Variant.name ^ " model point feasible")
@@ -329,7 +329,7 @@ let test_search_improves_on_model_point () =
   match Core.Search.tune_variant engine ~n:48 ~mode:fast_mode ~log v with
   | None -> Alcotest.fail "no outcome"
   | Some o ->
-    let model = Core.Search.model_point sgi ~n:48 v in
+    let model = Core.Search.model_point ~n:48 v in
     let model_cycles =
       match model with
       | Some bindings -> (

@@ -8,8 +8,8 @@ let fast = Core.Executor.Budget 30_000
 
 let variant () = List.hd (Core.Derive.variants sgi Matmul.kernel)
 
-let some_point engine v ~n =
-  match Core.Search.model_point (Core.Engine.machine engine) ~n v with
+let some_point v ~n =
+  match Core.Search.model_point ~n v with
   | Some bindings -> bindings
   | None -> Alcotest.fail "no model point for test variant"
 
@@ -18,7 +18,7 @@ let some_point engine v ~n =
 let test_cache_hit_identical () =
   let engine = Core.Engine.create sgi in
   let v = variant () in
-  let bindings = some_point engine v ~n:48 in
+  let bindings = some_point v ~n:48 in
   let req = Core.Engine.request v ~n:48 ~mode:fast ~bindings in
   let first =
     match Core.Engine.evaluate engine req with
@@ -42,7 +42,7 @@ let test_cache_hit_identical () =
 let test_distinct_fingerprints_miss () =
   let engine = Core.Engine.create sgi in
   let v = variant () in
-  let bindings = some_point engine v ~n:48 in
+  let bindings = some_point v ~n:48 in
   let req = Core.Engine.request v ~n:48 ~mode:fast ~bindings in
   ignore (Core.Engine.evaluate engine req);
   (* Different mode, different bindings, different prefetch: all misses. *)
@@ -68,7 +68,7 @@ let test_distinct_fingerprints_miss () =
 let test_binding_order_canonical () =
   let engine = Core.Engine.create sgi in
   let v = variant () in
-  let bindings = some_point engine v ~n:48 in
+  let bindings = some_point v ~n:48 in
   ignore
     (Core.Engine.evaluate engine (Core.Engine.request v ~n:48 ~mode:fast ~bindings));
   ignore
@@ -95,7 +95,7 @@ let test_jobs_same_best () =
 
 let test_batch_matches_serial_evaluates () =
   let v = variant () in
-  let bindings = some_point (Core.Engine.create sgi) v ~n:48 in
+  let bindings = some_point v ~n:48 in
   (* Four distinct sizes with jobs:2 crosses the engine's small-batch
      threshold, so this exercises the actual Domain.spawn path. *)
   let reqs =
@@ -146,7 +146,7 @@ let test_yield_only_at_batch_boundaries () =
       let yields = ref 0 and polls = ref 0 in
       Core.Engine.set_yield e (Some (fun () -> incr yields));
       Core.Engine.set_poll e (Some (fun () -> incr polls));
-      let bindings = some_point e v ~n:32 in
+      let bindings = some_point v ~n:32 in
       let req ?prefetch n = Core.Engine.request ?prefetch v ~n ~mode:fast ~bindings in
       let arrays =
         match Core.Engine.build e (req 32) with
@@ -174,7 +174,7 @@ let test_telemetry_adds_up () =
   let engine = Core.Engine.create sgi in
   let log = Core.Search_log.create () in
   let v = variant () in
-  let bindings = some_point engine v ~n:48 in
+  let bindings = some_point v ~n:48 in
   let infeasible = List.map (fun (k, _) -> (k, 48)) bindings in
   let reqs =
     [
@@ -470,7 +470,7 @@ let test_quarantine_never_persisted () =
   let engine = Core.Engine.create ~faults sgi in
   Core.Engine.set_db engine db;
   let v = variant () in
-  let bindings = some_point engine v ~n:32 in
+  let bindings = some_point v ~n:32 in
   let req = Core.Engine.request v ~n:32 ~mode:fast ~bindings in
   Alcotest.(check bool) "candidate quarantined" true
     (Core.Engine.evaluate engine req = None);

@@ -9,8 +9,8 @@ let fast = Core.Executor.Budget 30_000
 
 let variant () = List.hd (Core.Derive.variants sgi Matmul.kernel)
 
-let some_point engine v ~n =
-  match Core.Search.model_point (Core.Engine.machine engine) ~n v with
+let some_point v ~n =
+  match Core.Search.model_point ~n v with
   | Some bindings -> bindings
   | None -> Alcotest.fail "no model point for test variant"
 
@@ -135,7 +135,7 @@ let test_zero_rate_plan_is_transparent () =
 let eval_once ?(protocol = Core.Engine.default_protocol) faults =
   let engine = Core.Engine.create ~faults ~protocol sgi in
   let v = variant () in
-  let bindings = some_point engine v ~n:32 in
+  let bindings = some_point v ~n:32 in
   let req = Core.Engine.request v ~n:32 ~mode:fast ~bindings in
   (engine, req, Core.Engine.evaluate engine req)
 
@@ -184,7 +184,7 @@ let test_outlier_absorbed () =
      the measured cycles stay within noise of the clean value. *)
   let clean_engine = Core.Engine.create sgi in
   let v = variant () in
-  let bindings = some_point clean_engine v ~n:32 in
+  let bindings = some_point v ~n:32 in
   let req = Core.Engine.request v ~n:32 ~mode:fast ~bindings in
   let clean =
     match Core.Engine.evaluate clean_engine req with
@@ -210,7 +210,7 @@ let test_crash_degrades_to_closures () =
   let crashy = Core.Engine.create ~path:Core.Executor.Fast ~faults sgi in
   let reference = Core.Engine.create ~path:Core.Executor.Closures sgi in
   let v = variant () in
-  let bindings = some_point crashy v ~n:32 in
+  let bindings = some_point v ~n:32 in
   let req = Core.Engine.request v ~n:32 ~mode:fast ~bindings in
   let cycles engine =
     match Core.Engine.evaluate engine req with
@@ -308,7 +308,7 @@ let test_crash_splits_one_member () =
   let faults = Faults.make ~seed:3 ~crash:0.3 () in
   let sweep ~grouped faults =
     let e = Core.Engine.create ~faults sgi in
-    let bindings = some_point e v ~n:32 in
+    let bindings = some_point v ~n:32 in
     let reqs =
       List.map
         (fun d ->

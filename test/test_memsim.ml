@@ -13,7 +13,7 @@ let test_cache_cold_miss_then_hit () =
   let c = tiny_cache () in
   Alcotest.(check bool) "cold miss" false
     (is_hit c ~line:5);
-  ignore (Memsim.Cache.insert c ~now:0 ~ready:0 ~dirty:false ~line:5);
+  ignore (Memsim.Cache.insert c ~ready:0 ~dirty:false ~line:5);
   Alcotest.(check bool) "hit after insert" true
     (is_hit c ~line:5)
 
@@ -31,10 +31,10 @@ let test_cache_lru_eviction () =
   let c = tiny_cache () in
   let sets = Memsim.Cache.sets c in
   let a = 3 and b = 3 + sets and d = 3 + (2 * sets) in
-  ignore (Memsim.Cache.insert c ~now:0 ~ready:0 ~dirty:false ~line:a);
-  ignore (Memsim.Cache.insert c ~now:1 ~ready:0 ~dirty:false ~line:b);
+  ignore (Memsim.Cache.insert c ~ready:0 ~dirty:false ~line:a);
+  ignore (Memsim.Cache.insert c ~ready:0 ~dirty:false ~line:b);
   ignore (is_hit c ~line:a);
-  ignore (Memsim.Cache.insert c ~now:3 ~ready:0 ~dirty:false ~line:d);
+  ignore (Memsim.Cache.insert c ~ready:0 ~dirty:false ~line:d);
   Alcotest.(check bool) "a survives (recently used)" true
     (Memsim.Cache.resident c ~line:a);
   Alcotest.(check bool) "b evicted (LRU)" false (Memsim.Cache.resident c ~line:b);
@@ -45,36 +45,36 @@ let test_cache_conflict_within_capacity () =
      though the cache has room elsewhere. *)
   let c = tiny_cache ~assoc:1 () in
   let sets = Memsim.Cache.sets c in
-  ignore (Memsim.Cache.insert c ~now:0 ~ready:0 ~dirty:false ~line:7);
-  ignore (Memsim.Cache.insert c ~now:1 ~ready:0 ~dirty:false ~line:(7 + sets));
+  ignore (Memsim.Cache.insert c ~ready:0 ~dirty:false ~line:7);
+  ignore (Memsim.Cache.insert c ~ready:0 ~dirty:false ~line:(7 + sets));
   Alcotest.(check bool) "first line evicted" false
     (Memsim.Cache.resident c ~line:7)
 
 let test_cache_dirty_eviction_reported () =
   let c = tiny_cache ~assoc:1 () in
   let sets = Memsim.Cache.sets c in
-  ignore (Memsim.Cache.insert c ~now:0 ~ready:0 ~dirty:true ~line:9);
-  let wb = Memsim.Cache.insert c ~now:1 ~ready:0 ~dirty:false ~line:(9 + sets) in
+  ignore (Memsim.Cache.insert c ~ready:0 ~dirty:true ~line:9);
+  let wb = Memsim.Cache.insert c ~ready:0 ~dirty:false ~line:(9 + sets) in
   Alcotest.(check bool) "writeback" true wb;
-  let wb2 = Memsim.Cache.insert c ~now:2 ~ready:0 ~dirty:false ~line:9 in
+  let wb2 = Memsim.Cache.insert c ~ready:0 ~dirty:false ~line:9 in
   Alcotest.(check bool) "clean eviction" false wb2
 
 let test_cache_set_dirty () =
   let c = tiny_cache ~assoc:1 () in
   let sets = Memsim.Cache.sets c in
-  ignore (Memsim.Cache.insert c ~now:0 ~ready:0 ~dirty:false ~line:4);
+  ignore (Memsim.Cache.insert c ~ready:0 ~dirty:false ~line:4);
   Memsim.Cache.set_dirty c ~line:4;
-  let wb = Memsim.Cache.insert c ~now:1 ~ready:0 ~dirty:false ~line:(4 + sets) in
+  let wb = Memsim.Cache.insert c ~ready:0 ~dirty:false ~line:(4 + sets) in
   Alcotest.(check bool) "writeback after set_dirty" true wb
 
 let test_cache_fill_time_returned () =
   let c = tiny_cache () in
-  ignore (Memsim.Cache.insert c ~now:10 ~ready:150 ~dirty:false ~line:2);
+  ignore (Memsim.Cache.insert c ~ready:150 ~dirty:false ~line:2);
   check_int "fill time" 150 (Memsim.Cache.access c ~line:2 ~write:false)
 
 let test_cache_reset () =
   let c = tiny_cache () in
-  ignore (Memsim.Cache.insert c ~now:0 ~ready:0 ~dirty:false ~line:1);
+  ignore (Memsim.Cache.insert c ~ready:0 ~dirty:false ~line:1);
   check_int "occupied" 1 (Memsim.Cache.occupancy c);
   Memsim.Cache.reset c;
   check_int "empty" 0 (Memsim.Cache.occupancy c)
@@ -334,7 +334,7 @@ let prop_higher_assoc_no_more_misses_single_set =
           (fun acc line ->
             if is_hit c ~line then acc
             else begin
-              ignore (Memsim.Cache.insert c ~now:0 ~ready:0 ~dirty:false ~line);
+              ignore (Memsim.Cache.insert c ~ready:0 ~dirty:false ~line);
               acc + 1
             end)
           0 lines

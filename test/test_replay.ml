@@ -12,8 +12,8 @@ let fast = Core.Executor.Budget 30_000
 
 let variant () = List.hd (Core.Derive.variants sgi Matmul.kernel)
 
-let some_point engine v ~n =
-  match Core.Search.model_point (Core.Engine.machine engine) ~n v with
+let some_point v ~n =
+  match Core.Search.model_point ~n v with
   | Some bindings -> bindings
   | None -> Alcotest.fail "no model point for test variant"
 
@@ -278,9 +278,11 @@ let test_protocol_across_geometries () =
     machines
 
 (* The replay kernel allocates nothing per event, on hits or on the
-   miss, service and TLB-refill paths: after one warm-up call, a replay
-   of a miss-heavy trace (jacobi3d on the 1/16-capacity R10000) adds
-   under 1 minor word per 1000 events. *)
+   miss, service, write-back and TLB-refill paths: after one warm-up
+   call, a replay adds under 1 minor word per 1000 events.  Two streams
+   on the 1/16-capacity R10000: jacobi3d's (miss-heavy, with TLB
+   refills) and a conflict stream in which every event misses L1 (16
+   lines of one L1 and L2 set; stores, loads and prefetches). *)
 let test_replay_allocation_free () =
   let kernel = Kernels.Jacobi3d.kernel in
   let trace =
@@ -288,37 +290,54 @@ let test_replay_allocation_free () =
       ~params:(Kernels.Kernel.params kernel 24)
       kernel.Kernels.Kernel.program
   in
-  let events = Memsim.Trace.raw trace and len = Memsim.Trace.length trace in
+  let conflict =
+    Array.init 30_000 (fun i ->
+        let tag =
+          match i mod 3 with
+          | 0 -> Ir.Sink.tag_store
+          | 1 -> Ir.Sink.tag_load
+          | _ -> Ir.Sink.tag_prefetch
+        in
+        Ir.Sink.pack ~tag (i mod 16 * 32768))
+  in
   let m = Machine.sgi_r10000_mini in
-  let h = Memsim.Hierarchy.create m in
-  let b =
-    Memsim.Hierarchy.Batch.create
-      (Array.init 3 (fun _ -> Memsim.Hierarchy.create m))
+  let run_stream name events ~len ~heavy =
+    let h = Memsim.Hierarchy.create m in
+    let b =
+      Memsim.Hierarchy.Batch.create
+        (Array.init 3 (fun _ -> Memsim.Hierarchy.create m))
+    in
+    let c = Memsim.Hierarchy.counters h in
+    let check what run =
+      run ();
+      let before = Gc.minor_words () in
+      run ();
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, %s: %.0f minor words over %d events" name what words len)
+        true
+        (words *. 1000.0 < float_of_int len)
+    in
+    check "replay_packed" (fun () ->
+        Memsim.Hierarchy.replay_packed h events ~pos:0 ~len);
+    Alcotest.(check bool) (name ^ " is miss-heavy") true (heavy c);
+    check "warm_packed" (fun () ->
+        Memsim.Hierarchy.warm_packed h events ~pos:0 ~len);
+    check "Batch.replay_all" (fun () ->
+        Memsim.Hierarchy.Batch.replay_all b events ~pos:0 ~len);
+    check "Batch.warm_all" (fun () ->
+        Memsim.Hierarchy.Batch.warm_all b events ~pos:0 ~len);
+    check "Batch.replay_range" (fun () ->
+        Memsim.Hierarchy.Batch.replay_range b 1 events ~pos:0 ~len)
   in
-  let c = Memsim.Hierarchy.counters h in
-  let check what run =
-    run ();
-    let before = Gc.minor_words () in
-    run ();
-    let words = Gc.minor_words () -. before in
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: %.0f minor words over %d events" what words len)
-      true
-      (words *. 1000.0 < float_of_int len)
-  in
-  check "replay_packed" (fun () ->
-      Memsim.Hierarchy.replay_packed h events ~pos:0 ~len);
-  Alcotest.(check bool) "the trace is miss-heavy" true
-    (Memsim.Counters.l1_misses c * 10 > Memsim.Counters.accesses c
-    && c.Memsim.Counters.tlb_misses > 0);
-  check "warm_packed" (fun () ->
-      Memsim.Hierarchy.warm_packed h events ~pos:0 ~len);
-  check "Batch.replay_all" (fun () ->
-      Memsim.Hierarchy.Batch.replay_all b events ~pos:0 ~len);
-  check "Batch.warm_all" (fun () ->
-      Memsim.Hierarchy.Batch.warm_all b events ~pos:0 ~len);
-  check "Batch.replay_range" (fun () ->
-      Memsim.Hierarchy.Batch.replay_range b 1 events ~pos:0 ~len)
+  run_stream "jacobi3d" (Memsim.Trace.raw trace) ~len:(Memsim.Trace.length trace)
+    ~heavy:(fun c ->
+      Memsim.Counters.l1_misses c * 10 > Memsim.Counters.accesses c
+      && c.Memsim.Counters.tlb_misses > 0);
+  run_stream "conflict" conflict ~len:(Array.length conflict) ~heavy:(fun c ->
+      Memsim.Counters.l1_misses c * 2 > Memsim.Counters.accesses c
+      && Memsim.Counters.l2_misses c > 0
+      && c.Memsim.Counters.writebacks > 0)
 
 (* --- the sampling state machine --------------------------------------- *)
 
@@ -485,7 +504,7 @@ let test_sampled_preserves_ranking () =
 
 let test_sampled_deterministic () =
   let v = variant () in
-  let bindings = some_point (Core.Engine.create sgi) v ~n:48 in
+  let bindings = some_point v ~n:48 in
   let program = Core.Variant.instantiate v ~bindings in
   let m1 =
     Core.Executor.measure ~sampling:Memsim.Sampling.default sgi Matmul.kernel
@@ -516,7 +535,7 @@ let sweep_plans = [| [ ("a", 2) ]; [ ("a", 4) ]; [ ("a", 8) ]; [ ("a", 16) ] |]
 
 let test_batched_matches_unbatched_exact () =
   let v = variant () in
-  let bindings = some_point (Core.Engine.create sgi) v ~n:48 in
+  let bindings = some_point v ~n:48 in
   let dt = capture_for bindings v ~n:48 in
   let batched =
     Core.Demand_trace.measure_plans sgi Matmul.kernel ~n:48 dt
@@ -534,7 +553,7 @@ let test_batched_matches_unbatched_exact () =
 let test_batched_matches_unbatched_sampled () =
   let sampling = Memsim.Sampling.default in
   let v = variant () in
-  let bindings = some_point (Core.Engine.create sgi) v ~n:48 in
+  let bindings = some_point v ~n:48 in
   let program = Core.Variant.instantiate v ~bindings in
   (* The trace must be captured at the sampled (shrunken) budget, as the
      engine does. *)
@@ -560,7 +579,7 @@ let test_batched_matches_unbatched_sampled () =
 
 let test_reprice_group_base_and_best_exact () =
   let v = variant () in
-  let bindings = some_point (Core.Engine.create sgi) v ~n:48 in
+  let bindings = some_point v ~n:48 in
   let dt = capture_for bindings v ~n:48 in
   match
     Core.Demand_trace.reprice_group sgi Matmul.kernel ~n:48 dt
@@ -597,7 +616,7 @@ let test_reprice_group_base_and_best_exact () =
    full multi-plan replay. *)
 let test_reprice_joint_multi_array () =
   let v = variant () in
-  let bindings = some_point (Core.Engine.create sgi) v ~n:48 in
+  let bindings = some_point v ~n:48 in
   let dt = capture_for bindings v ~n:48 in
   let plans =
     [|
@@ -636,7 +655,7 @@ let test_reprice_joint_multi_array () =
    not all bind the same array list cannot share slack buckets. *)
 let test_reprice_rejects_differing_array_lists () =
   let v = variant () in
-  let bindings = some_point (Core.Engine.create sgi) v ~n:48 in
+  let bindings = some_point v ~n:48 in
   let dt = capture_for bindings v ~n:48 in
   let plans = [| [ ("a", 2) ]; [ ("b", 2) ] |] in
   Alcotest.(check bool) "differing array lists fall back" true
@@ -653,7 +672,7 @@ let joint_epsilon = 0.02
 
 let test_joint_reprice_within_epsilon () =
   let v = variant () in
-  let bindings = some_point (Core.Engine.create sgi) v ~n:48 in
+  let bindings = some_point v ~n:48 in
   let dt = capture_for bindings v ~n:48 in
   let gen =
     QCheck.make (fun rand ->
@@ -716,7 +735,7 @@ let test_jacobi3d_thrash_group_reprices () =
   let n = 64 in
   let v = List.hd (Core.Derive.variants sgi kernel) in
   let bindings =
-    match Core.Search.model_point sgi ~n v with
+    match Core.Search.model_point ~n v with
     | Some b -> b
     | None -> Alcotest.fail "no model point for jacobi3d"
   in
@@ -738,7 +757,7 @@ let test_jacobi3d_thrash_group_reprices () =
 let test_trace_lru_eviction () =
   let engine = Core.Engine.create sgi in
   let v = variant () in
-  let base = some_point engine v ~n:48 in
+  let base = some_point v ~n:48 in
   (* Distinct tile bindings → distinct trace keys.  ti is the outermost
      tile parameter of the matmul variant. *)
   let point i =

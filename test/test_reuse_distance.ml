@@ -79,7 +79,7 @@ let lru_hits capacity lines =
       if Memsim.Cache.access cache ~line ~write:false <> Memsim.Cache.absent
       then acc + 1
       else begin
-        ignore (Memsim.Cache.insert cache ~now:0 ~ready:0 ~dirty:false ~line);
+        ignore (Memsim.Cache.insert cache ~ready:0 ~dirty:false ~line);
         acc
       end)
     0 lines

@@ -535,7 +535,7 @@ let test_engine_paths_agree () =
   let n = 32 in
   let v = List.hd (Core.Derive.variants machine kernel) in
   let bindings =
-    match Core.Search.model_point machine ~n v with
+    match Core.Search.model_point ~n v with
     | Some b -> b
     | None -> Alcotest.fail "no model point"
   in
@@ -643,7 +643,7 @@ let test_cache_access_matches_model () =
           Alcotest.(check bool)
             (Printf.sprintf "assoc %d: dirty eviction" assoc)
             victim_dirty
-            (Memsim.Cache.insert c ~now ~ready:(now + 10) ~dirty:write ~line)
+            (Memsim.Cache.insert c ~ready:(now + 10) ~dirty:write ~line)
       done;
       check_int "same occupancy"
         (Array.fold_left (fun n l -> n + List.length l) 0 model)
@@ -655,7 +655,7 @@ let test_cache_insert_fills_invalid_ways_first () =
   (* Same set: 4 sets, so lines 0,4,8,12,16 map to set 0. *)
   for i = 0 to 3 do
     let evicted_dirty =
-      Memsim.Cache.insert c ~now:i ~ready:i ~dirty:true ~line:(i * 4)
+      Memsim.Cache.insert c ~ready:i ~dirty:true ~line:(i * 4)
     in
     Alcotest.(check bool) "no eviction while ways free" false evicted_dirty
   done;
@@ -663,7 +663,7 @@ let test_cache_insert_fills_invalid_ways_first () =
   (* A fifth line must evict the LRU (line 0, stamp 0) — and it was
      dirty, so the insert reports a writeback. *)
   Alcotest.(check bool) "LRU eviction is dirty" true
-    (Memsim.Cache.insert c ~now:10 ~ready:10 ~dirty:false ~line:16);
+    (Memsim.Cache.insert c ~ready:10 ~dirty:false ~line:16);
   Alcotest.(check bool) "LRU victim gone" false
     (Memsim.Cache.resident c ~line:0);
   Alcotest.(check bool) "MRU survivor stays" true
@@ -673,12 +673,12 @@ let test_cache_set_dirty_absent_noop () =
   let c = small_cache ~assoc:2 in
   Memsim.Cache.set_dirty c ~line:5;
   check_int "still empty" 0 (Memsim.Cache.occupancy c);
-  ignore (Memsim.Cache.insert c ~now:0 ~ready:0 ~dirty:false ~line:5);
+  ignore (Memsim.Cache.insert c ~ready:0 ~dirty:false ~line:5);
   Memsim.Cache.set_dirty c ~line:5;
   (* Evicting the line must now report a dirty writeback. *)
-  ignore (Memsim.Cache.insert c ~now:1 ~ready:1 ~dirty:false ~line:13);
+  ignore (Memsim.Cache.insert c ~ready:1 ~dirty:false ~line:13);
   Alcotest.(check bool) "marked dirty" true
-    (Memsim.Cache.insert c ~now:2 ~ready:2 ~dirty:false ~line:21)
+    (Memsim.Cache.insert c ~ready:2 ~dirty:false ~line:21)
 
 (* --- trace buffer reuse --- *)
 
